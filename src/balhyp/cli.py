@@ -39,11 +39,7 @@ def fmt_sci6(x: float) -> str:
 
 
 def _load(path: str) -> KPartiteHypergraph:
-    h = load_khg(path)
-    diag = validate(h)
-    if not diag.ok:
-        raise KhgParseError(0, "; ".join(diag.violations))
-    return h
+    return load_khg(path).require_valid()
 
 
 def _write_json(path: str, obj) -> None:
@@ -53,7 +49,7 @@ def _write_json(path: str, obj) -> None:
 def cmd_gen(args) -> int:
     h = sample_hknp(args.k, args.n, args.p, args.seed)
     atomic_write_text(args.out, emit_khg(h))
-    print(f"wrote {args.out}: k={h.k} n={args.n} m={len(h.edges)}")
+    print(f"wrote {args.out}: k={h.k} n={args.n} m={len(h.edge_array)}")
     return 0
 
 
@@ -83,7 +79,7 @@ def cmd_bis(args) -> int:
         ledger = {"p": args.p, "override": True}
         trial_sides = list(best.trial_sides)
     else:
-        D = args.D if args.D is not None else len(h.edges) / n
+        D = args.D if args.D is not None else len(h.edge_array) / n
         params = ind_params(h.k, args.eps, D, n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 from balhyp.core import (
     KPartiteHypergraph,
@@ -26,7 +26,7 @@ from balhyp.core import (
 )
 from balhyp.errors import RegimeError
 from balhyp.matching import fallback_coloring
-from balhyp.rng import Seed, rng_for
+from balhyp.rng import SeedLike, as_stream, rng_for
 
 __all__ = [
     "ColParams",
@@ -37,8 +37,6 @@ __all__ = [
     "residual",
     "full_coloring",
 ]
-
-SeedLike = Union[int, Seed, tuple]
 
 
 @dataclass(frozen=True)
@@ -264,12 +262,6 @@ def residual(h: KPartiteHypergraph, state: PhaseState):
     return induced(h, uncolored)
 
 
-def _as_stream(seed: SeedLike) -> tuple:
-    if isinstance(seed, (tuple, Seed)):
-        return tuple(int(x) for x in seed)
-    return (int(seed),)
-
-
 def full_coloring(
     h: KPartiteHypergraph,
     epsilon: float,
@@ -295,7 +287,7 @@ def full_coloring(
         raise ValueError(f"part sizes {h.part_sizes} are not all equal")
     n = h.part_sizes[0]
     k = h.k
-    base = _as_stream(seed)
+    base = as_stream(seed)
     advisories = []
     delta_h = h.max_degree
     if delta_h == 0:

@@ -5,8 +5,14 @@ indices 0-based.  Edges are positionally encoded: an edge is a k-tuple of
 indices where slot i holds the part-(i+1) member, so "one vertex per part"
 is structural and cannot be violated by construction.
 
+The edges are held as one read-only (m, k) `np.intp` array, `edge_array`,
+whose row i is edge i; the hot paths are array expressions over it.  The
+tuple-of-tuples view `edges` is built from it on first use, for the
+callers that walk edges one by one.
+
 A constructed hypergraph is immutable and safe to share across concurrent
-readers; incidence and degree caches are built lazily on first use.
+readers; the edge views and the incidence and degree caches are built
+lazily on first use.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from balhyp.errors import KhgParseError
 
@@ -31,14 +39,38 @@ Edge = tuple  # k-tuple of 0-based indices, slot i = part i+1
 class KPartiteHypergraph:
     """k parts of vertices plus a duplicate-free set of transversal edges.
 
-    The constructor normalizes but does not validate; use `validate` for
+    `edges` is either an (m, k) integer ndarray, kept as `edge_array`, or
+    an iterable of index sequences, kept as `edges`.  The constructor
+    normalizes but does not validate, so ragged edges and indices out of
+    range (even out of `np.intp` range) construct; use `validate` for
     diagnostics or `require_valid` to raise.  Memory is Theta(k * |E|).
     """
 
-    def __init__(self, part_sizes: Sequence[int], edges: Iterable[Sequence[int]]):
+    def __init__(self, part_sizes: Sequence[int], edges: np.ndarray | Iterable[Sequence[int]]):
         self.part_sizes = tuple(int(s) for s in part_sizes)
         self.k = len(self.part_sizes)
-        self.edges = tuple(tuple(int(i) for i in e) for e in edges)
+        if isinstance(edges, np.ndarray):
+            if edges.ndim != 2 or edges.shape[1] != self.k or edges.dtype.kind not in "iu":
+                raise ValueError(
+                    f"edge array of shape {edges.shape} and dtype {edges.dtype} "
+                    f"is not an (m, {self.k}) integer array"
+                )
+            self.edge_array = _frozen(np.array(edges, dtype=np.intp))
+        else:
+            self.edges = tuple(tuple(int(i) for i in e) for e in edges)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """(m, k) read-only `np.intp` array, row i = edge i.
+
+        Raises ValueError for ragged edges and OverflowError for an index
+        outside `np.intp`; `validate` reports both.
+        """
+        return _frozen(np.array(self.edges, dtype=np.intp).reshape(len(self.edges), self.k))
+
+    @cached_property
+    def edges(self) -> tuple:
+        return tuple(map(tuple, self.edge_array.tolist()))
 
     @property
     def n_balanced(self) -> bool:
@@ -74,12 +106,6 @@ class KPartiteHypergraph:
             return 0
         return max(len(lst) for part in self.incidence for lst in part)
 
-    def transversal_count(self) -> int:
-        total = 1
-        for sz in self.part_sizes:
-            total *= sz
-        return total
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, KPartiteHypergraph)
@@ -100,6 +126,25 @@ class KPartiteHypergraph:
         return self
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _lex_order(e: np.ndarray) -> np.ndarray:
+    """Stable permutation that sorts the rows of `e` lexicographically.
+
+    Rows that are already in order (sampled and canonical khg edges are)
+    skip the sort; the check compares, so it cannot overflow.
+    """
+    if len(e) > 1 and e.shape[1]:
+        later, earlier = e[1:], e[:-1]
+        first = (later != earlier).argmax(axis=1)  # first differing slot, 0 if none
+        if (later < earlier)[np.arange(len(later)), first].any():
+            return np.lexsort(e.T[::-1])
+    return np.arange(len(e))
+
+
 @dataclass(frozen=True)
 class Diagnostics:
     ok: bool
@@ -107,24 +152,48 @@ class Diagnostics:
 
 
 def validate(h: KPartiteHypergraph) -> Diagnostics:
-    """Check all structural invariants; reports violations, never raises."""
+    """Check all structural invariants; reports violations, never raises.
+
+    Edge violations come in edge order: an edge of the wrong arity gets
+    only that message; otherwise each out-of-range slot, then "duplicate"
+    if an earlier edge of arity k is equal to it.
+    """
     bad = []
     if h.k < 2:
         bad.append(f"k={h.k} must be at least 2")
     for j, sz in enumerate(h.part_sizes):
         if sz < 1:
             bad.append(f"part {j + 1} size {sz} not positive")
-    seen = set()
-    for pos, e in enumerate(h.edges):
-        if len(e) != h.k:
-            bad.append(f"edge {pos} {e}: arity {len(e)} != k={h.k}")
+    try:
+        rows = h.edge_array
+        m = len(rows)
+        pos = np.arange(m)
+    except (ValueError, OverflowError):
+        # ragged edges, or indices beyond intp: check the arity-k edges as
+        # Python ints in an object array
+        m = len(h.edges)
+        pos = np.array([i for i, e in enumerate(h.edges) if len(e) == h.k], dtype=np.intp)
+        rows = np.array([h.edges[i] for i in pos], dtype=object).reshape(len(pos), h.k)
+    out_of_range = (rows < 0) | (rows >= np.array(h.part_sizes))
+    dup = np.zeros(len(rows), dtype=bool)
+    if len(rows) > 1:
+        order = _lex_order(rows)
+        s = rows[order]
+        dup[order[1:]] = (s[1:] == s[:-1]).all(axis=1)
+    row_of = np.full(m, -1)
+    row_of[pos] = np.arange(len(pos))
+    flagged = np.union1d(np.flatnonzero(row_of < 0), pos[out_of_range.any(axis=1) | dup])
+    for i in flagged.tolist():
+        r = row_of[i]
+        if r < 0:
+            e = h.edges[i]
+            bad.append(f"edge {i} {e}: arity {len(e)} != k={h.k}")
             continue
-        for j, idx in enumerate(e):
-            if not 0 <= idx < h.part_sizes[j]:
-                bad.append(f"edge {pos} {e}: index {idx} out of range in part {j + 1}")
-        if e in seen:
+        e = tuple(rows[r].tolist())
+        for j in np.flatnonzero(out_of_range[r]).tolist():
+            bad.append(f"edge {i} {e}: index {e[j]} out of range in part {j + 1}")
+        if dup[r]:
             bad.append(f"duplicate edge {e}")
-        seen.add(e)
     return Diagnostics(ok=not bad, violations=tuple(bad))
 
 
@@ -235,15 +304,17 @@ def is_balanced_independent(h: KPartiteHypergraph, a: BalancedSet) -> bool:
     """True iff `a` has equal sides (structural) and contains no edge of `h`."""
     if len(a.parts) != h.k:
         raise ValueError(f"balanced set has {len(a.parts)} parts, hypergraph has {h.k}")
+    e = h.edge_array
+    hit = np.ones(len(e), dtype=bool)
     for j, sub in enumerate(a.parts):
-        for idx in sub:
-            if not 0 <= idx < h.part_sizes[j]:
-                raise ValueError(f"index {idx} out of range in part {j + 1}")
-    member = [set(sub) for sub in a.parts]
-    for e in h.edges:
-        if all(e[j] in member[j] for j in range(h.k)):
-            return False
-    return True
+        idx = np.array(sub, dtype=np.intp)
+        out = (idx < 0) | (idx >= h.part_sizes[j])
+        if out.any():
+            raise ValueError(f"index {idx[out.argmax()]} out of range in part {j + 1}")
+        member = np.zeros(h.part_sizes[j], dtype=bool)
+        member[idx] = True
+        hit &= member[e[:, j]]
+    return not hit.any()
 
 
 class PartialColoring:
@@ -372,25 +443,52 @@ def induced(h: KPartiteHypergraph, subsets: Sequence[Iterable[int]]):
 # (edges sorted lexicographically), so parse/emit round-trips canonical
 # files byte-identically.
 
+_DIGITS = str.maketrans("", "", "0123456789")
+_INTP_MAX = np.iinfo(np.intp).max
+
+
+def _fields(i: int, line: str) -> list:
+    if line != line.strip() or "  " in line or not line:
+        raise KhgParseError(i, f"malformed whitespace in {line!r}")
+    return line.split(" ")
+
+
+def _parse_edge_lines(lines: list, k: int) -> list:
+    """Edges of the body lines as int tuples; raises at the first bad line."""
+    edges = []
+    for off, line in enumerate(lines):
+        lineno = 4 + off
+        toks = _fields(lineno, line)
+        if len(toks) != k:
+            raise KhgParseError(lineno, f"expected {k} indices, got {len(toks)}")
+        try:
+            edges.append(tuple(int(t) for t in toks))
+        except ValueError as exc:
+            raise KhgParseError(lineno, f"non-integer index: {exc}") from None
+    return edges
+
 
 def parse_khg(text: str) -> KPartiteHypergraph:
+    """Parse khg v1 text; errors carry the 1-based line number.
+
+    The body is parsed in one pass when it is k unsigned decimal indices
+    per line joined by single spaces, each below the `np.intp` maximum.
+    Otherwise the lines are read one by one, which finds the first bad
+    line, or keeps any other `int` spelling (sign, leading "+", an index
+    beyond `np.intp`) as a Python int for `validate` to judge.
+    """
     if "\r" in text:
         line = text[: text.index("\r")].count("\n") + 1
         raise KhgParseError(line, "CR found; khg v1 requires LF line endings")
     if not text.endswith("\n"):
         raise KhgParseError(max(1, text.count("\n") + 1), "missing final newline")
-    lines = text.split("\n")[:-1]
-
-    def fields(i: int, line: str) -> list:
-        if line != line.strip() or "  " in line or not line:
-            raise KhgParseError(i, f"malformed whitespace in {line!r}")
-        return line.split(" ")
-
-    if len(lines) < 3:
-        raise KhgParseError(len(lines) or 1, "truncated header")
+    n_lines = text.count("\n")
+    if n_lines < 3:
+        raise KhgParseError(n_lines or 1, "truncated header")
+    lines = text.split("\n", 3)
     if lines[0] != "khg 1":
         raise KhgParseError(1, f"bad magic {lines[0]!r}, expected 'khg 1'")
-    head = fields(2, lines[1])
+    head = _fields(2, lines[1])
     try:
         k = int(head[0])
         sizes = [int(x) for x in head[1:]]
@@ -404,26 +502,25 @@ def parse_khg(text: str) -> KPartiteHypergraph:
         raise KhgParseError(3, f"bad edge count {lines[2]!r}") from None
     if m < 0:
         raise KhgParseError(3, f"negative edge count {m}")
-    if len(lines) != 3 + m:
-        raise KhgParseError(len(lines), f"expected {m} edge lines, found {len(lines) - 3}")
-    edges = []
-    for off, line in enumerate(lines[3:]):
-        lineno = 4 + off
-        toks = fields(lineno, line)
-        if len(toks) != k:
-            raise KhgParseError(lineno, f"expected {k} indices, got {len(toks)}")
-        try:
-            edges.append(tuple(int(t) for t in toks))
-        except ValueError as exc:
-            raise KhgParseError(lineno, f"non-integer index: {exc}") from None
-    return KPartiteHypergraph(sizes, edges)
+    if n_lines != 3 + m:
+        raise KhgParseError(n_lines, f"expected {m} edge lines, found {n_lines - 3}")
+    body = lines[3]
+    padded = "\n" + body  # an empty token shows as two adjacent separators
+    if body.translate(_DIGITS) == (" " * (k - 1) + "\n") * m and not any(
+        pair in padded for pair in ("  ", " \n", "\n ", "\n\n")
+    ):
+        flat = np.fromstring(body, dtype=np.intp, sep=" ") if m else np.empty(0, np.intp)
+        if not (m and flat.max() == _INTP_MAX):  # where an oversized index saturates
+            return KPartiteHypergraph(sizes, flat.reshape(m, k))
+    return KPartiteHypergraph(sizes, _parse_edge_lines(body.split("\n")[:-1], k))
 
 
 def emit_khg(h: KPartiteHypergraph) -> str:
-    out = ["khg 1", f"{h.k} " + " ".join(str(s) for s in h.part_sizes), str(len(h.edges))]
-    for e in sorted(h.edges):
-        out.append(" ".join(str(i) for i in e))
-    return "\n".join(out) + "\n"
+    """Canonical khg v1 text: edges sorted lexicographically."""
+    e = h.edge_array
+    m, k = e.shape
+    rows = ((" ".join(["%d"] * k) + "\n") * m) % tuple(e[_lex_order(e)].ravel().tolist())
+    return f"khg 1\n{k} " + " ".join(str(s) for s in h.part_sizes) + f"\n{m}\n" + rows
 
 
 def load_khg(path) -> KPartiteHypergraph:

@@ -13,11 +13,13 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
+
+import numpy as np
 
 from balhyp.core import BalancedSet, KPartiteHypergraph, is_balanced_independent
 from balhyp.errors import BudgetExceededError, RegimeError
-from balhyp.rng import Seed, rng_for
+from balhyp.rng import SeedLike, as_stream, rng_for
 
 __all__ = [
     "IndParams",
@@ -28,8 +30,6 @@ __all__ = [
     "exact_alpha_b",
     "target_supported",
 ]
-
-SeedLike = Union[int, Seed, tuple]
 
 _TRIALS_CAP = 10**5
 
@@ -116,12 +116,6 @@ class IndOutcome:
         return self.balanced.side
 
 
-def _as_stream(seed: SeedLike) -> tuple:
-    if isinstance(seed, (tuple, Seed)):
-        return tuple(int(x) for x in seed)
-    return (int(seed),)
-
-
 def run_ind(h: KPartiteHypergraph, p: float, seed: SeedLike) -> IndOutcome:
     """One pass of the three-step procedure on an n-balanced hypergraph.
 
@@ -129,7 +123,8 @@ def run_ind(h: KPartiteHypergraph, p: float, seed: SeedLike) -> IndOutcome:
     part order from rng_for(seed); vertex i of part j is kept iff its
     uniform is < p.  Part k and the truncation are deterministic: a part-k
     vertex joins iff no edge through it has all other ends kept, and
-    truncation keeps the lowest-index vertices of each part.
+    truncation keeps the lowest-index vertices of each part.  The result
+    is checked to be balanced independent; a failure raises RuntimeError.
     """
     if not h.n_balanced:
         raise ValueError(f"part sizes {h.part_sizes} are not all equal")
@@ -138,25 +133,26 @@ def run_ind(h: KPartiteHypergraph, p: float, seed: SeedLike) -> IndOutcome:
     n = h.part_sizes[0]
     k = h.k
     rng = rng_for(seed)
+    e = h.edge_array
+    hit = np.ones(len(e), dtype=bool)
     kept = []
-    for _ in range(k - 1):
-        u = rng.random(n)
-        kept.append([i for i in range(n) if u[i] < p])
-    member = [set(part) for part in kept]
-    blocked = set()
-    for e in h.edges:
-        if all(e[j] in member[j] for j in range(k - 1)):
-            blocked.add(e[k - 1])
-    kept.append([i for i in range(n) if i not in blocked])
+    for j in range(k - 1):
+        keep = rng.random(n) < p
+        hit &= keep[e[:, j]]
+        kept.append(np.flatnonzero(keep).tolist())
+    blocked = np.zeros(n, dtype=bool)
+    blocked[e[hit, k - 1]] = True
+    kept.append(np.flatnonzero(~blocked).tolist())
     side = min(len(part) for part in kept)
     balanced = BalancedSet([part[:side] for part in kept])
     out = IndOutcome(
         raw=tuple(tuple(part) for part in kept),
         balanced=balanced,
         part_sizes=tuple(len(part) for part in kept),
-        seed=_as_stream(seed),
+        seed=as_stream(seed),
     )
-    assert is_balanced_independent(h, out.balanced)
+    if not is_balanced_independent(h, out.balanced):
+        raise RuntimeError(f"run_ind at seed {out.seed} produced a set containing an edge")
     return out
 
 
@@ -189,7 +185,7 @@ def best_of_trials(
                 f"at D = {params.D}, reporting best effort",
                 stacklevel=2,
             )
-    base = _as_stream(seed)
+    base = as_stream(seed)
     best: Optional[IndOutcome] = None
     best_t = -1
     sides = []

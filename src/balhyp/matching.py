@@ -11,11 +11,11 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from balhyp.core import KPartiteHypergraph, PartialColoring
 from balhyp.errors import BudgetExceededError
-from balhyp.rng import Seed, rng_for
+from balhyp.rng import SeedLike, rng_for
 
 __all__ = [
     "Matching",
@@ -25,8 +25,6 @@ __all__ = [
     "color_from_matching",
     "fallback_coloring",
 ]
-
-SeedLike = Union[int, Seed, tuple]
 
 
 @dataclass(frozen=True)

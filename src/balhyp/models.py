@@ -13,11 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Union
+
+import numpy as np
 
 from balhyp.core import KPartiteHypergraph, induced
 from balhyp.errors import BudgetExceededError, RegimeError
-from balhyp.rng import Seed, rng_for
+from balhyp.rng import Seed, SeedLike, rng_for
 
 __all__ = [
     "Seed",
@@ -28,10 +29,11 @@ __all__ = [
     "exists_balanced_is",
 ]
 
-SeedLike = Union[int, Seed, tuple]
-
 # Bernoulli-per-edge up to this many candidate edges, binomial count above.
 _PER_EDGE_LIMIT = 10**7
+# Uniforms per draw on the per-edge path; chunking leaves the stream as one
+# block of `total` draws would give it.
+_CHUNK = 1 << 16
 _MAX_EDGES = 5 * 10**7
 
 
@@ -102,21 +104,16 @@ class UpperBoundParams:
         return math.floor(self.s)
 
 
-def _rank_to_edge(rank: int, k: int, n: int) -> tuple:
-    digits = []
-    for _ in range(k):
-        rank, d = divmod(rank, n)
-        digits.append(d)
-    return tuple(reversed(digits))
-
-
 def sample_hknp(k: int, N: int, p: float, seed: SeedLike) -> KPartiteHypergraph:
     """Sample H(k, N, p): each transversal edge present independently w.p. p.
 
     Deterministic given (k, N, p, seed); edges come out sorted.  Small
     instances draw one uniform per candidate edge in lexicographic order;
     large ones draw the edge count Binomial(N^k, p) and then a uniform
-    subset of that size, which has exactly the same distribution.
+    subset of that size, which has exactly the same distribution: batches
+    of uniform ranks, each adding its first distinct unseen ranks in draw
+    order until the count is reached.  Edge rank r is r written in base N,
+    most significant digit in part 1.
     """
     if k < 2:
         raise ValueError(f"k={k} must be at least 2")
@@ -124,34 +121,34 @@ def sample_hknp(k: int, N: int, p: float, seed: SeedLike) -> KPartiteHypergraph:
         raise ValueError(f"N={N} must be positive")
     if not 0 <= p <= 1:
         raise ValueError(f"p={p} outside [0, 1]")
-    total = N**k
-    sizes = [N] * k
     if p == 0:
-        return KPartiteHypergraph(sizes, [])
+        return KPartiteHypergraph([N] * k, np.empty((0, k), dtype=np.intp))
+    total = N**k
     if p == 1:
-        return KPartiteHypergraph(sizes, itertools.product(range(N), repeat=k))
-    rng = rng_for(seed)
-    if total <= _PER_EDGE_LIMIT:
-        u = rng.random(total)
-        edges = [
-            _rank_to_edge(r, k, N) for r in range(total) if u[r] < p
-        ]
-        return KPartiteHypergraph(sizes, edges)
-    if p * total > _MAX_EDGES:
+        ranks = np.arange(total)
+    elif total <= _PER_EDGE_LIMIT:
+        rng = rng_for(seed)
+        ranks = np.concatenate([
+            start + np.flatnonzero(rng.random(min(_CHUNK, total - start)) < p)
+            for start in range(0, total, _CHUNK)
+        ])
+    elif p * total > _MAX_EDGES:
         raise BudgetExceededError(
             f"expected edge count {p * total:.3g} exceeds limit {_MAX_EDGES}"
         )
-    m = int(rng.binomial(total, p))
-    chosen: set = set()
-    while len(chosen) < m:
-        want = m - len(chosen)
-        batch = rng.integers(0, total, size=max(want + 16, int(want * 1.1)))
-        for r in batch:
-            if len(chosen) == m:
-                break
-            chosen.add(int(r))
-    edges = sorted(_rank_to_edge(r, k, N) for r in chosen)
-    return KPartiteHypergraph(sizes, edges)
+    else:
+        rng = rng_for(seed)
+        m = int(rng.binomial(total, p))
+        chosen = np.arange(0)
+        while len(chosen) < m:
+            want = m - len(chosen)
+            batch = rng.integers(0, total, size=max(want + 16, int(want * 1.1)))
+            values, first = np.unique(batch, return_index=True)
+            first = np.sort(first[~np.isin(values, chosen)])[:want]
+            chosen = np.concatenate((chosen, batch[first]))
+        ranks = np.sort(chosen)
+    edges = np.stack(np.unravel_index(ranks, (N,) * k), axis=1)
+    return KPartiteHypergraph([N] * k, edges)
 
 
 def trim_top_degree(h: KPartiteHypergraph, t: int) -> KPartiteHypergraph:

@@ -10,7 +10,7 @@ existing ones.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -20,6 +20,16 @@ class Seed(NamedTuple):
 
     value: int
     stream: int = 0
+
+
+SeedLike = Union[int, Seed, tuple]
+
+
+def as_stream(seed: SeedLike) -> tuple:
+    """The entropy tuple of `seed`, to be extended with stream indices."""
+    if isinstance(seed, (tuple, Seed)):
+        return tuple(int(x) for x in seed)
+    return (int(seed),)
 
 
 def rng_for(seed, *stream: int) -> np.random.Generator:

@@ -61,6 +61,24 @@ def test_verify_header_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_invalid_input_lists_violations(tmp_path, capsys):
+    dup = tmp_path / "dup.khg"
+    dup.write_text("khg 1\n2 2 2\n2\n0 0\n0 0\n")
+    assert run(["bis", "--in", str(dup), "--seed", "1", "--json", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate edge (0, 0)" in err
+    assert "line" not in err
+
+
+def test_index_beyond_intp_exit_2(tmp_path, capsys):
+    big = tmp_path / "big.khg"
+    big.write_text("khg 1\n2 2 2\n1\n0 99999999999999999999\n")
+    assert run(["verify", "--in", str(big)]) == 2
+    assert "index 99999999999999999999 out of range in part 2" in capsys.readouterr().err
+    assert run(["color", "--in", str(big), "--seed", "1", "--json", str(tmp_path / "o.json")]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_bound_prints_example(capsys):
     assert run(["bound", "--k", "2", "--N", "6", "--s", "2", "--p", "0.5"]) == 0
     assert capsys.readouterr().out.strip() == "1.40625e1"

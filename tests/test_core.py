@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,8 @@ from balhyp.core import (
     validate,
 )
 from balhyp.errors import KhgParseError
+
+import reference
 
 
 def test_validate_clean():
@@ -267,3 +270,131 @@ def test_n_property():
     assert KPartiteHypergraph([3, 3], []).n == 3
     with pytest.raises(ValueError):
         KPartiteHypergraph([2, 3], []).n
+
+
+# --- differential tests against the pure-Python references -----------------
+
+
+@st.composite
+def loose_hypergraphs(draw, ragged=True):
+    """k in 2..4 with edges that may repeat, leave their part's range or,
+    with `ragged`, have the wrong arity; often edgeless."""
+    k = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    arity = st.integers(k - 1, k + 1) if ragged else st.just(k)
+    edge = arity.flatmap(lambda a: st.tuples(*[st.integers(-1, 5)] * a))
+    return KPartiteHypergraph(sizes, draw(st.lists(edge, max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(loose_hypergraphs())
+def test_validate_matches_reference(h):
+    # sorted edges take the path that skips the row sort
+    for g in (h, KPartiteHypergraph(h.part_sizes, sorted(h.edges))):
+        assert list(validate(g).violations) == reference.validate(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loose_hypergraphs(ragged=False))
+def test_validate_array_backed_matches_reference(h):
+    arr = KPartiteHypergraph(h.part_sizes, np.array(h.edges, dtype=np.int64).reshape(-1, h.k))
+    assert list(validate(arr).violations) == reference.validate(h)
+
+
+def test_validate_index_beyond_intp():
+    big = 99999999999999999999
+    h = KPartiteHypergraph([2, 2], [(0, big), (1, 1), (0, big), (0, big + 1), (1,)])
+    assert list(validate(h).violations) == reference.validate(h)
+    assert (
+        "edge 0 (0, 99999999999999999999): index 99999999999999999999 out of range in part 2"
+        in validate(h).violations
+    )
+    # a part that large makes such an index valid, and repeats still show
+    wide = KPartiteHypergraph([2, 2**70], [(1, 2**69), (0, 5), (1, 2**69)])
+    assert validate(wide).violations == ("duplicate edge (1, 590295810358705651712)",)
+
+
+def test_validate_duplicates_past_int64_product():
+    # prod(part_sizes) = 2^120: any flat edge index would overflow int64
+    sizes = [2**40, 2**40, 2**40]
+    edges = [(2**39, 5, 7), (1, 2, 3), (2**39, 5, 7), (2**40 - 1, 0, 0), (1, 2, 3)]
+    h = KPartiteHypergraph(sizes, np.array(edges))
+    assert validate(h).violations == (
+        "duplicate edge (549755813888, 5, 7)",
+        "duplicate edge (1, 2, 3)",
+    )
+    for g in (h, KPartiteHypergraph(sizes, sorted(edges))):
+        assert list(validate(g).violations) == reference.validate(g)
+
+
+def test_array_constructor():
+    a = KPartiteHypergraph([3, 2], np.array([[2, 1], [0, 0]], dtype=np.int32))
+    assert a.edge_array.dtype == np.intp and not a.edge_array.flags.writeable
+    assert a.edges == ((2, 1), (0, 0))
+    assert a == KPartiteHypergraph([3, 2], [(0, 0), (2, 1)])
+    t = KPartiteHypergraph([3, 2], [(2, 1)])
+    assert t.edge_array.tolist() == [[2, 1]] and not t.edge_array.flags.writeable
+    assert KPartiteHypergraph([2, 2], []).edge_array.shape == (0, 2)
+    for bad in (np.zeros((2, 3), dtype=int), np.zeros(4, dtype=int), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            KPartiteHypergraph([2, 2], bad)
+    with pytest.raises(ValueError):
+        KPartiteHypergraph([2, 2], [(0, 0), (1,)]).edge_array
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_balanced_independent_matches_reference(data):
+    h = data.draw(loose_hypergraphs(ragged=False).filter(lambda g: validate(g).ok))
+    side = data.draw(st.integers(0, min(h.part_sizes)))
+    parts = [
+        data.draw(st.lists(st.integers(0, sz - 1), min_size=side, max_size=side, unique=True))
+        for sz in h.part_sizes
+    ]
+    a = BalancedSet(parts)
+    assert is_balanced_independent(h, a) == reference.is_balanced_independent(h, a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(loose_hypergraphs(ragged=False))
+def test_emit_matches_reference(h):
+    for g in (h, KPartiteHypergraph(h.part_sizes, sorted(h.edges))):
+        assert emit_khg(g) == reference.emit_khg(g)
+
+
+_TOKENS = ["0", "1", "3", "007", "-1", "-0", "+2", "1_0", "x", "", "\t1",
+           "99999999999999999999", "9223372036854775807", "١"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_matches_reference(data):
+    """Same graph, or the same error line and message, on khg texts with
+    malformed, ragged, exotic and oversized body lines."""
+    k = data.draw(st.integers(1, 4))
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    canonical = st.lists(st.integers(0, 4).map(str), min_size=k, max_size=k)
+    loose = st.lists(st.sampled_from(_TOKENS), min_size=max(1, k - 1), max_size=k + 1)
+    odd = st.sampled_from([" 1 2", "1  2", "1 ", " ", ""])
+    lines = data.draw(st.lists(st.one_of(canonical, canonical, loose).map(" ".join) | odd, max_size=6))
+    m = len(lines) + data.draw(st.sampled_from([0, 0, 0, 1, -1]))
+    text = f"khg 1\n{k} " + " ".join(map(str, sizes)) + f"\n{m}\n" + "".join(s + "\n" for s in lines)
+    try:
+        want = reference.parse_khg(text)
+    except KhgParseError as exc:
+        with pytest.raises(KhgParseError) as err:
+            parse_khg(text)
+        assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+        return
+    got = parse_khg(text)
+    assert got.part_sizes == want.part_sizes and got.edges == want.edges
+    assert validate(got).violations == tuple(reference.validate(want))
+
+
+def test_parse_index_beyond_intp_reaches_validate():
+    h = parse_khg("khg 1\n2 1 1\n1\n0 99999999999999999999\n")
+    assert h.edges == ((0, 99999999999999999999),)
+    assert validate(h).violations == (
+        "edge 0 (0, 99999999999999999999): index 99999999999999999999 out of range in part 2",
+    )
+    assert parse_khg("khg 1\n2 1 1\n1\n0 9223372036854775807\n").edges == ((0, 2**63 - 1),)

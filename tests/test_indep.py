@@ -7,7 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from balhyp.core import KPartiteHypergraph, is_balanced_independent
+from balhyp.core import (
+    KPartiteHypergraph,
+    emit_khg,
+    is_balanced_independent,
+    parse_khg,
+    validate,
+)
 from balhyp.errors import BudgetExceededError, RegimeError
 from balhyp.indep import (
     best_of_trials,
@@ -146,6 +152,23 @@ def test_run_ind_errors():
         run_ind(KPartiteHypergraph([2, 3], []), 0.5, 0)
     with pytest.raises(ValueError):
         run_ind(KPartiteHypergraph([2, 2], []), 1.5, 0)
+
+
+def test_run_ind_raises_when_check_fails(monkeypatch):
+    # An explicit check, so it also runs under python -O.
+    monkeypatch.setattr("balhyp.indep.is_balanced_independent", lambda h, a: False)
+    with pytest.raises(RuntimeError, match="containing an edge"):
+        run_ind(sample_hknp(2, 8, 0.3, 1), 0.5, 0)
+
+
+def test_bis_path_never_builds_edge_tuples():
+    # gen, validate, trials and emit all run on edge_array; holding the
+    # tuple view as well would multiply the memory of a large instance.
+    h = parse_khg(emit_khg(sample_hknp(2, 64, 0.1, 3)))
+    assert validate(h).ok
+    best_of_trials(h, None, T=3, seed=1, p=0.3)
+    emit_khg(h)
+    assert "edges" not in vars(h)
 
 
 def test_run_ind_determinism():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import balhyp.models
 from balhyp.core import KPartiteHypergraph
 from balhyp.errors import BudgetExceededError, RegimeError
 from balhyp.models import (
@@ -15,12 +16,15 @@ from balhyp.models import (
 )
 
 from conftest import mixed_instances, oracle_exists_bis
+import reference
 
 
 def test_sample_p0_edgeless():
     h = sample_hknp(3, 4, 0.0, 1)
     assert h.part_sizes == (4, 4, 4)
     assert h.edges == ()
+    # N^k beyond intp: no rank is ever formed
+    assert sample_hknp(3, 10**7, 0.0, 1).edge_array.shape == (0, 3)
 
 
 def test_sample_p1_complete():
@@ -81,6 +85,36 @@ def test_sample_binomial_path():
     assert all(0 <= v < 3200 for e in h.edges for v in e)
     # E[m] = 51.2; a run of zero or thousands would mean the path is broken.
     assert 10 <= len(h.edges) <= 150
+
+
+@pytest.mark.parametrize("k, N, p, seed", [
+    (2, 1024, 64 / 1024, 7),  # 2^20 candidates: sixteen uniform chunks
+    (2, 300, 0.05, (3, 1)),  # a partial last chunk
+    (3, 5, 0.4, 11),
+    (4, 3, 0.9, 2),
+    (2, 3, 0.0, 1),
+    (3, 3, 1.0, 1),
+])
+def test_sample_per_edge_path_matches_reference(k, N, p, seed):
+    h = sample_hknp(k, N, p, seed)
+    assert h.edges == tuple(reference.sample_hknp(k, N, p, seed))
+    assert h.edge_array.shape == (len(h.edges), k)
+
+
+@pytest.mark.parametrize("k, N, p, seed", [
+    (2, 3200, 5e-6, 42),
+    (3, 1024, 32 / 1024**2, 5),
+])
+def test_sample_binomial_path_matches_reference(k, N, p, seed):
+    assert sample_hknp(k, N, p, seed).edges == tuple(reference.sample_hknp(k, N, p, seed))
+
+
+def test_sample_binomial_path_with_repeats_matches_reference(monkeypatch):
+    # Dense cells draw many repeated ranks, and batches that overshoot.
+    monkeypatch.setattr(balhyp.models, "_PER_EDGE_LIMIT", 10)
+    for k, N, p, seed in [(2, 6, 0.8, 1), (3, 4, 0.5, 2), (2, 5, 0.97, 3), (2, 40, 0.3, 4)]:
+        want = reference.sample_hknp(k, N, p, seed, per_edge_limit=10)
+        assert sample_hknp(k, N, p, seed).edges == tuple(want)
 
 
 def test_sample_edge_budget():
