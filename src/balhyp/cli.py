@@ -62,7 +62,7 @@ def cmd_verify(args) -> int:
         return 2
     bal = "yes" if h.n_balanced else "no"
     sizes = ",".join(str(s) for s in h.part_sizes)
-    print(f"ok: k={h.k} parts={sizes} m={len(h.edges)} delta={h.max_degree} balanced={bal}")
+    print(f"ok: k={h.k} parts={sizes} m={len(h.edge_array)} delta={h.max_degree} balanced={bal}")
     return 0
 
 

@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from balhyp.core import (
     KPartiteHypergraph,
     PartialColoring,
@@ -142,10 +144,18 @@ class PhaseState:
     def classes(self) -> dict:
         """(part, color) -> sorted indices currently colored that color."""
         out = {}
-        for j, part in enumerate(self.phi.colors):
-            for c in range(1, self.q + 1):
-                out[(j + 1, c)] = tuple(i for i, col in enumerate(part) if col == c)
+        for j, a in enumerate(self.phi.color_arrays):
+            for c, members in enumerate(_members_by_color(a, self.q), start=1):
+                out[(j + 1, c)] = members
         return out
+
+
+def _members_by_color(a: np.ndarray, q: int) -> list:
+    """Entry c-1 is the sorted tuple of indices i with a[i] == c, c in 1..q."""
+    order = np.argsort(a, kind="stable")
+    ends = np.searchsorted(a[order], np.arange(1, q + 2)).tolist()
+    order = order.tolist()
+    return [tuple(order[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 def col_random_phase(h: KPartiteHypergraph, q: int, seed: SeedLike) -> PhaseState:
@@ -166,26 +176,28 @@ def col_random_phase(h: KPartiteHypergraph, q: int, seed: SeedLike) -> PhaseStat
     rng = rng_for(seed)
     cols = [rng.integers(1, q + 1, size=n) for _ in range(k - 1)]
     selectors = rng.random(n)
-    banned: list = [set() for _ in range(n)]
-    for e in h.edges:
-        c0 = cols[0][e[0]]
-        if all(cols[j][e[j]] == c0 for j in range(1, k - 1)):
-            banned[e[k - 1]].add(int(c0))
-    lists_k = []
-    part_k: list = []
-    u_k = []
-    for v in range(n):
-        survivors = tuple(c for c in range(1, q + 1) if c not in banned[v])
-        lists_k.append(survivors)
-        if survivors:
-            rank = max(1, math.ceil(selectors[v] * len(survivors)))
-            part_k.append(survivors[rank - 1])
-        else:
-            part_k.append(None)
-            u_k.append(v)
-    phi = PartialColoring(q, [[int(c) for c in col] for col in cols] + [part_k])
-    assert is_proper_on_colored(h, phi)
-    return PhaseState(h=h, phi=phi, q=q, lists_k=tuple(lists_k), u_k=tuple(u_k))
+    # an edge bans its part-1 color at its part-k vertex when parts 1..k-1 agree
+    e = h.edge_array
+    c0 = cols[0][e[:, 0]]
+    mono = np.ones(len(e), dtype=bool)
+    for j in range(1, k - 1):
+        mono &= cols[j][e[:, j]] == c0
+    allowed = np.ones((n, q + 1), dtype=bool)  # column c: color c survives; 0 unused
+    allowed[:, 0] = False
+    allowed[e[:, k - 1], c0 * mono] = False  # an edge that bans nothing hits column 0
+    sizes = allowed.sum(axis=1)
+    # the same doubles as max(1, math.ceil(T * len(L))); no column reaches
+    # the rank of an empty list, so argmax picks column 0, uncolored
+    rank = np.maximum(1, np.ceil(selectors * sizes))
+    part_k = (np.cumsum(allowed, axis=1) >= rank[:, None]).argmax(axis=1)
+    survivors = np.nonzero(allowed)[1].tolist()
+    ends = np.cumsum(sizes).tolist()
+    lists_k = tuple(tuple(survivors[lo:hi]) for lo, hi in zip([0] + ends, ends))
+    u_k = tuple(np.flatnonzero(sizes == 0).tolist())
+    phi = PartialColoring(q, cols + [part_k])
+    if not is_proper_on_colored(h, phi):
+        raise RuntimeError("random phase produced a monochromatic edge")
+    return PhaseState(h=h, phi=phi, q=q, lists_k=lists_k, u_k=u_k)
 
 
 def rebalance(state: PhaseState, params) -> PhaseState:
@@ -199,51 +211,29 @@ def rebalance(state: PhaseState, params) -> PhaseState:
     exactly n_c vertices per part and each part has n - q*n_c uncolored.
     """
     h = state.h
-    phi, q, k = state.phi, state.q, h.k
-    n = h.part_sizes[0]
-    classes = state.classes()
-    n_c = min(
-        [params.n_c]
-        + [len(classes[(j, c)]) for j in range(1, k + 1) for c in range(1, q + 1)]
-    )
+    q, k = state.q, h.k
+    colors = [np.array(a) for a in state.phi.color_arrays]
+    counts = [np.bincount(a, minlength=q + 1) for a in colors]
+    n_c = min([params.n_c] + [int(cnt[1:].min()) for cnt in counts])
     clamped = n_c < params.n_c
-    colors = [list(part) for part in phi.colors]
-    for c in range(1, q + 1):
-        cls = classes[(k, c)]
-        for idx in cls[: len(cls) - n_c]:
-            colors[k - 1][idx] = None
-    u_k_prime = tuple(i for i in range(n) if colors[k - 1][i] is None)
-    pool = set(u_k_prime)
-    threshold = params.delta_tilde_eff
+    _uncolor_lowest(colors[k - 1], counts[k - 1], n_c, np.zeros(len(colors[k - 1]), dtype=bool))
+    u_k_prime = tuple(np.flatnonzero(colors[k - 1] == 0).tolist())
+    e = h.edge_array
+    in_pool = colors[k - 1][e[:, k - 1]] == 0
+    n = h.part_sizes[0]
     bad_sets = {}
     good_shortage = False
-    for j in range(1, k):
-        for c in range(1, q + 1):
-            cls = classes[(j, c)]
-            bad = tuple(
-                u
-                for u in cls
-                if sum(
-                    1
-                    for pos in h.incidence[j - 1][u]
-                    if h.edges[pos][k - 1] in pool
-                )
-                >= threshold
-            )
-            bad_sets[(j, c)] = bad
-            drop = len(cls) - n_c
-            good = [u for u in cls if u not in set(bad)]
-            chosen = good[:drop]
-            if len(chosen) < drop:
-                good_shortage = True
-                need = drop - len(chosen)
-                chosen += [u for u in bad if u not in set(chosen)][:need]
-            for idx in chosen:
-                colors[j - 1][idx] = None
-    new_phi = PartialColoring(q, colors)
+    for j in range(k - 1):
+        a = colors[j]
+        bad = np.bincount(e[:, j].compress(in_pool), minlength=n) >= params.delta_tilde_eff
+        for c, members in enumerate(_members_by_color(np.where(bad, a, 0), q), start=1):
+            bad_sets[(j + 1, c)] = members
+        good = np.bincount(a[~bad], minlength=q + 1)
+        good_shortage |= bool((good[1:] < counts[j][1:] - n_c).any())
+        _uncolor_lowest(a, counts[j], n_c, bad)
     return replace(
         state,
-        phi=new_phi,
+        phi=PartialColoring(q, colors),
         n_c=n_c,
         u_k_prime=u_k_prime,
         bad_sets=bad_sets,
@@ -252,14 +242,22 @@ def rebalance(state: PhaseState, params) -> PhaseState:
     )
 
 
+def _uncolor_lowest(a: np.ndarray, counts: np.ndarray, n_c: int, bad: np.ndarray) -> None:
+    """Uncolor, in place, all but n_c vertices of every class of `a`
+    (class sizes `counts`): lowest-index good vertices first, then
+    lowest-index bad ones."""
+    order = np.lexsort((bad, a))  # by color, then good before bad, then index
+    color = a[order]
+    rank = np.arange(len(a)) - (np.cumsum(counts) - counts)[color]
+    drop = (color != 0) & (rank < counts[color] - n_c)
+    a[order[drop]] = 0
+
+
 def residual(h: KPartiteHypergraph, state: PhaseState):
     """Subhypergraph induced by the uncolored vertices, with the remap."""
     if state.n_c is None:
         raise ValueError("state has not been rebalanced")
-    uncolored = [
-        [i for i, c in enumerate(part) if c is None] for part in state.phi.colors
-    ]
-    return induced(h, uncolored)
+    return induced(h, [np.flatnonzero(a == 0) for a in state.phi.color_arrays])
 
 
 def full_coloring(
@@ -291,7 +289,7 @@ def full_coloring(
     advisories = []
     delta_h = h.max_degree
     if delta_h == 0:
-        phi = PartialColoring(1, [[1] * n for _ in range(k)])
+        phi = PartialColoring(1, [np.ones(n, dtype=np.intp) for _ in range(k)])
         report = _report(h, phi, q=1, eff=0, retries_used=0, path="main",
                          advisories=["edgeless instance: single color"])
         return phi, report
@@ -308,7 +306,7 @@ def full_coloring(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             phi = fallback_coloring(h, seed=base + (max_retries, 1), budget=matching_budget)
-        assert len(phi.colors_used()) <= k * delta_h + 1
+        _check_palette(phi, k * delta_h + 1, "fallback")
         return phi, _report(h, phi, q=0, eff=0, retries_used=0, path="fallback",
                             advisories=advisories)
     advisories.extend(params.advisories)
@@ -328,15 +326,15 @@ def full_coloring(
             sub_phi = fallback_coloring(
                 h_phi, seed=base + (r, 1), budget=matching_budget
             )
-            colors = [list(part) for part in state.phi.colors]
+            colors = [np.array(a) for a in state.phi.color_arrays]
             for j in range(k):
-                for new_idx, old_idx in enumerate(remap[j]):
-                    colors[j][old_idx] = q + sub_phi.colors[j][new_idx]
+                colors[j][np.array(remap[j], dtype=np.intp)] = q + sub_phi.color_arrays[j]
             merged = PartialColoring(q + sub_phi.q, colors)
-        assert merged.is_total()
-        assert is_proper_balanced_coloring(h, merged)
-        used = len(merged.colors_used())
-        assert used <= q + k * h_phi.max_degree + 1
+        if not merged.is_total():
+            raise RuntimeError("merged coloring leaves a vertex uncolored")
+        if not is_proper_balanced_coloring(h, merged):
+            raise RuntimeError("merged coloring is not a proper balanced coloring")
+        _check_palette(merged, q + k * h_phi.max_degree + 1, "main")
         report = _report(
             h, merged, q=q, eff=params.delta_tilde_eff, retries_used=r + 1,
             path="main", advisories=advisories,
@@ -348,19 +346,25 @@ def full_coloring(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         phi = fallback_coloring(h, seed=base + (max_retries, 1), budget=matching_budget)
-    assert len(phi.colors_used()) <= k * delta_h + 1
+    _check_palette(phi, k * delta_h + 1, "fallback")
     return phi, _report(h, phi, q=q, eff=params.delta_tilde_eff,
                         retries_used=max_retries, path="fallback",
                         advisories=advisories)
 
 
+def _check_palette(phi: PartialColoring, bound: int, path: str) -> None:
+    used = len(phi.colors_used())
+    if used > bound:
+        raise RuntimeError(f"{path} path used {used} colors, bound {bound}")
+
+
 def _report(h, phi, q, eff, retries_used, path, advisories, extra=None):
-    per_class = {
-        c: [sum(1 for x in part if x == c) for part in phi.colors]
-        for c in phi.colors_used()
-    }
+    used = phi.colors_used()
+    top = used[-1] + 1 if used else 1
+    counts = [np.bincount(a, minlength=top).tolist() for a in phi.color_arrays]
+    per_class = {c: [cnt[c] for cnt in counts] for c in used}
     report = {
-        "palette": len(phi.colors_used()),
+        "palette": len(used),
         "q": q,
         "delta_tilde_eff": eff,
         "retries_used": retries_used,

@@ -102,9 +102,11 @@ class KPartiteHypergraph:
 
     @cached_property
     def max_degree(self) -> int:
-        if not self.edges:
+        """Largest vertex degree, counted from the edge array's columns."""
+        e = self.edge_array
+        if not len(e):
             return 0
-        return max(len(lst) for part in self.incidence for lst in part)
+        return max(max_repeat(e[:, [j]]) for j in range(self.k))
 
     def __eq__(self, other) -> bool:
         return (
@@ -129,6 +131,27 @@ class KPartiteHypergraph:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def max_repeat(rows: np.ndarray) -> int:
+    """Largest number of equal rows in a non-empty (m, w) integer array.
+
+    Sorts the rows and measures runs, so nothing is allocated per value
+    of the index range.
+    """
+    s = rows[np.lexsort(rows.T)] if rows.shape[1] else rows
+    starts = np.flatnonzero(np.concatenate(([True], (s[1:] != s[:-1]).any(axis=1), [True])))
+    return int(np.diff(starts).max())
+
+
+def _int_array(values: Iterable) -> np.ndarray:
+    """`values` as ints in an `np.intp` array, or in an object array when
+    one lies beyond `np.intp`, so that a range check can still name it."""
+    ints = [int(v) for v in values]
+    try:
+        return np.array(ints, dtype=np.intp)
+    except OverflowError:
+        return np.array(ints, dtype=object)
 
 
 def _lex_order(e: np.ndarray) -> np.ndarray:
@@ -318,60 +341,92 @@ def is_balanced_independent(h: KPartiteHypergraph, a: BalancedSet) -> bool:
 
 
 class PartialColoring:
-    """Optional color per vertex; colors live in [1..q], None means uncolored."""
+    """Optional color per vertex; colors live in [1..q].
 
-    def __init__(self, q: int, colors: Sequence[Sequence[Optional[int]]]):
+    Each part's colors are one read-only `np.intp` array in `color_arrays`,
+    where 0 means uncolored.  The constructor takes, per part, either an
+    integer ndarray in that encoding or a sequence of ints and None (None
+    means uncolored, and 0 is then outside the palette like any other
+    color below 1).  The tuple-of-tuples view `colors`, with None for
+    uncolored, is built on first use.
+    """
+
+    def __init__(self, q: int, colors: Sequence[np.ndarray | Sequence[Optional[int]]]):
         self.q = int(q)
-        self.colors = tuple(
-            tuple(None if c is None else int(c) for c in part) for part in colors
+        self.color_arrays = tuple(_frozen(self._part_array(part)) for part in colors)
+
+    def _part_array(self, part) -> np.ndarray:
+        if isinstance(part, np.ndarray):
+            if part.ndim != 1 or part.dtype.kind not in "iu":
+                raise ValueError(
+                    f"color array of shape {part.shape} and dtype {part.dtype} "
+                    f"is not a 1-d integer array"
+                )
+            vals, colored = part, part != 0
+        else:
+            part = list(part)
+            colored = np.array([c is not None for c in part], dtype=bool)
+            vals = _int_array(0 if c is None else c for c in part)
+        bad = colored & ((vals < 1) | (vals > self.q))
+        if bad.any():
+            raise ValueError(f"color {vals[bad.argmax()]} outside palette [1..{self.q}]")
+        return np.array(vals, dtype=np.intp)
+
+    @cached_property
+    def colors(self) -> tuple:
+        return tuple(
+            tuple(c or None for c in a.tolist()) for a in self.color_arrays
         )
-        for part in self.colors:
-            for c in part:
-                if c is not None and not 1 <= c <= self.q:
-                    raise ValueError(f"color {c} outside palette [1..{self.q}]")
 
     @classmethod
     def uncolored(cls, h: KPartiteHypergraph, q: int) -> "PartialColoring":
-        return cls(q, [[None] * sz for sz in h.part_sizes])
+        return cls(q, [np.zeros(sz, dtype=np.intp) for sz in h.part_sizes])
 
     def color_of(self, v: Vertex) -> Optional[int]:
         part, index = v
-        return self.colors[part - 1][index]
+        return int(self.color_arrays[part - 1][index]) or None
 
     def is_total(self) -> bool:
-        return all(c is not None for part in self.colors for c in part)
+        return all(a.all() for a in self.color_arrays)
 
     def colors_used(self) -> tuple:
-        used = {c for part in self.colors for c in part if c is not None}
-        return tuple(sorted(used))
+        used = np.unique(np.concatenate((np.zeros(1, np.intp),) + self.color_arrays))
+        return tuple(used[1:].tolist())
 
     def class_of(self, c: int) -> tuple:
         """Per-part index tuples of the vertices colored c."""
         return tuple(
-            tuple(i for i, col in enumerate(part) if col == c) for part in self.colors
+            tuple(np.flatnonzero(a == c).tolist()) if c else () for a in self.color_arrays
         )
 
     def __eq__(self, other):
         return (
             isinstance(other, PartialColoring)
             and self.q == other.q
-            and self.colors == other.colors
+            and len(self.color_arrays) == len(other.color_arrays)
+            and all(map(np.array_equal, self.color_arrays, other.color_arrays))
         )
 
     def __repr__(self):
-        done = sum(c is not None for part in self.colors for c in part)
+        done = sum(int(np.count_nonzero(a)) for a in self.color_arrays)
         return f"PartialColoring(q={self.q}, colored={done})"
+
+
+def _has_mono_edge(h: KPartiteHypergraph, color_arrays: tuple) -> bool:
+    """Does some edge have all k members colored with one common color?"""
+    e = h.edge_array
+    if not len(e):
+        return False
+    c0 = color_arrays[0][e[:, 0]]
+    mono = c0 != 0
+    for j in range(1, h.k):
+        mono &= color_arrays[j][e[:, j]] == c0
+    return bool(mono.any())
 
 
 def is_proper_on_colored(h: KPartiteHypergraph, phi: PartialColoring) -> bool:
     """No edge has all k members colored with one common color."""
-    for e in h.edges:
-        c0 = phi.colors[0][e[0]]
-        if c0 is None:
-            continue
-        if all(phi.colors[j][e[j]] == c0 for j in range(1, h.k)):
-            return False
-    return True
+    return not _has_mono_edge(h, phi.color_arrays)
 
 
 def is_proper_balanced_coloring(
@@ -381,19 +436,20 @@ def is_proper_balanced_coloring(
 
     Only colored vertices are checked: an edge is violating only when all k
     members carry one common color.  With `require_total`, every vertex must
-    be colored as well.
+    be colored as well.  Every class is balanced iff all parts have the
+    same count of every color, and every class is independent iff no edge
+    is monochromatic.
     """
-    if len(phi.colors) != h.k or tuple(len(p) for p in phi.colors) != h.part_sizes:
+    arrays = phi.color_arrays
+    if len(arrays) != h.k or tuple(len(a) for a in arrays) != h.part_sizes:
         raise ValueError("coloring shape does not match hypergraph")
     if require_total and not phi.is_total():
         return False
-    for c in phi.colors_used():
-        cls = phi.class_of(c)
-        if len({len(sub) for sub in cls}) > 1:
-            return False  # class not balanced
-        if not is_balanced_independent(h, BalancedSet(cls)):
-            return False
-    return True
+    top = max((int(a.max()) for a in arrays if len(a)), default=0) + 1
+    counts = [np.bincount(a, minlength=top)[1:] for a in arrays]
+    if any(not np.array_equal(counts[0], cnt) for cnt in counts[1:]):
+        return False  # some class not balanced
+    return not _has_mono_edge(h, arrays)
 
 
 def complement_edges(h: KPartiteHypergraph) -> Iterator[tuple]:
@@ -413,24 +469,32 @@ def induced(h: KPartiteHypergraph, subsets: Sequence[Iterable[int]]):
 
     Returns (subhypergraph, remap) where remap[part-1][new_index] is the
     original index.  Keeps exactly the edges fully inside the subsets.
+    A subset is any iterable of ints, repeats allowed; an index out of
+    range raises ValueError naming the smallest such index.  Builds one
+    membership mask per part, so memory is Theta(sum of part sizes + |E|).
     """
     if len(subsets) != h.k:
         raise ValueError(f"expected {h.k} subsets, got {len(subsets)}")
-    remap = []
-    back = []
+    masks = []
     for j, sub in enumerate(subsets):
-        keep = sorted(set(int(i) for i in sub))
-        for idx in keep:
-            if not 0 <= idx < h.part_sizes[j]:
-                raise ValueError(f"index {idx} out of range in part {j + 1}")
-        remap.append(tuple(keep))
-        back.append({old: new for new, old in enumerate(keep)})
-    kept_edges = []
-    for e in h.edges:
-        if all(e[j] in back[j] for j in range(h.k)):
-            kept_edges.append(tuple(back[j][e[j]] for j in range(h.k)))
-    sub_h = KPartiteHypergraph([len(r) for r in remap], kept_edges)
-    return sub_h, tuple(remap)
+        if not isinstance(sub, np.ndarray):
+            sub = _int_array(sub)
+        bad = (sub < 0) | (sub >= h.part_sizes[j])
+        if bad.any():
+            raise ValueError(f"index {sub[bad].min()} out of range in part {j + 1}")
+        mask = np.zeros(h.part_sizes[j], dtype=bool)
+        mask[sub.astype(np.intp)] = True
+        masks.append(mask)
+    e = h.edge_array
+    inside = np.ones(len(e), dtype=bool)
+    for j, mask in enumerate(masks):
+        inside &= mask[e[:, j]]
+    kept = e.compress(inside, axis=0)
+    sub_edges = np.empty_like(kept)
+    for j, mask in enumerate(masks):
+        sub_edges[:, j] = (np.cumsum(mask) - 1)[kept[:, j]]
+    sub_h = KPartiteHypergraph([int(np.count_nonzero(mask)) for mask in masks], sub_edges)
+    return sub_h, tuple(tuple(np.flatnonzero(mask).tolist()) for mask in masks)
 
 
 # --- `khg v1` text format ---------------------------------------------------

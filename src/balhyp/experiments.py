@@ -27,10 +27,11 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
-from typing import Callable, Optional
+from typing import Optional
+
+import numpy as np
 
 from balhyp.coloring import col_params, col_random_phase, rebalance, residual
 from balhyp.indep import ind_params, run_ind
@@ -162,7 +163,7 @@ def _run_cell_bis(cell, ci, spec):
             "side": out.side,
         }
 
-    rows = _map_trials(one, spec.trials)
+    rows = [one(t) for t in range(spec.trials)]
     T = spec.trials
     summaries = []
     sizes = [[int(s) for s in r["part_sizes"].split(";")] for r in rows]
@@ -190,7 +191,7 @@ def _run_cell_bound(cell, ci, spec):
         h = sample_hknp(k, N, p, (spec.seed, ci, t + 1))
         return {"exists": int(exists_balanced_is(h, s))}
 
-    rows = _map_trials(one, spec.trials)
+    rows = [one(t) for t in range(spec.trials)]
     T = spec.trials
     freq = sum(r["exists"] for r in rows) / T
     bound = union_bound_bis(k, N, s, p)
@@ -212,16 +213,15 @@ def _run_cell_concentration(cell, ci, spec):
         for c in range(1, q + 1):
             if c not in lst:
                 mask |= 1 << (c - 1)
-        cls = [i for i, col in enumerate(st.phi.colors[0]) if col == 1]
         return {
-            "v1c1_size": len(cls),
+            "v1c1_size": int(np.count_nonzero(st.phi.color_arrays[0] == 1)),
             "u_k_size": len(st.u_k),
             "probe_list_size": len(lst),
             "probe_banned_mask": mask,
             "probe_empty": int(len(lst) == 0),
         }
 
-    rows = _map_trials(one, spec.trials)
+    rows = [one(t) for t in range(spec.trials)]
     T = spec.trials
     summaries = []
     mean = sum(r["v1c1_size"] for r in rows) / T
@@ -273,7 +273,7 @@ def _run_cell_color(cell, ci, spec):
             "accepted": int(accepted),
         }
 
-    rows = _map_trials(one, spec.trials)
+    rows = [one(t) for t in range(spec.trials)]
     T = spec.trials
     mean_uk, se_uk = _mean_se([r["u_k_size"] for r in rows])
     clamp_rate = sum(r["clamped"] for r in rows) / T
@@ -291,14 +291,6 @@ _CELL_RUNNERS: dict = {
     "concentration": _run_cell_concentration,
     "color": _run_cell_color,
 }
-
-
-def _map_trials(one: Callable, trials: int) -> list:
-    threads = int(os.environ.get("BALHYP_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(trials)))
-    return [one(t) for t in range(trials)]
 
 
 def _fmt(value) -> str:

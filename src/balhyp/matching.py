@@ -9,11 +9,12 @@ most k*Delta(H) + 1 colors when every part has n vertices.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from balhyp.core import KPartiteHypergraph, PartialColoring
+import numpy as np
+
+from balhyp.core import KPartiteHypergraph, PartialColoring, max_repeat
 from balhyp.errors import BudgetExceededError
 from balhyp.rng import SeedLike, rng_for
 
@@ -63,13 +64,10 @@ def matching_violations(h: KPartiteHypergraph, m: Matching) -> tuple:
 
 def _max_corank(h: KPartiteHypergraph) -> int:
     """Largest codegree of a (k-1)-selection, over selections hit by edges."""
-    if not h.edges:
+    e = h.edge_array
+    if not len(e):
         return 0
-    best = 0
-    for drop in range(h.k):
-        proj = Counter(e[:drop] + e[drop + 1 :] for e in h.edges)
-        best = max(best, max(proj.values()))
-    return best
+    return max(max_repeat(np.delete(e, drop, axis=1)) for drop in range(h.k))
 
 
 def _completion_exists(h, prefix: list, j: int, uncovered: list) -> bool:
@@ -113,13 +111,13 @@ def find_pm_complement(
             stacklevel=2,
         )
     other = n ** (k - 1)
-    for j in range(k):
-        for i in range(n):
-            if len(h.incidence[j][i]) == other:
-                raise BudgetExceededError(
-                    f"part {j + 1} vertex {i} has no complement edge; "
-                    f"no perfect matching exists"
-                )
+    for j, col in enumerate(h.edge_array.T):
+        full = np.flatnonzero(np.bincount(col, minlength=n) == other)
+        if len(full):
+            raise BudgetExceededError(
+                f"part {j + 1} vertex {full[0]} has no complement edge; "
+                f"no perfect matching exists"
+            )
     for attempt in range(budget):
         rng = rng_for(seed, attempt)
         uncovered = [sorted(range(n)) for _ in range(k)]
@@ -241,7 +239,7 @@ def color_from_matching(h: KPartiteHypergraph, m: Matching) -> PartialColoring:
     if bad:
         raise ValueError("not a perfect complement matching: " + "; ".join(bad))
     k = h.k
-    color = [[None] * sz for sz in h.part_sizes]
+    color = [[0] * sz for sz in h.part_sizes]  # 0: not colored yet
     highest = 0
     for t in m.edges:
         forbidden = set()
@@ -256,7 +254,7 @@ def color_from_matching(h: KPartiteHypergraph, m: Matching) -> PartialColoring:
                     if fidx == t[jj]:
                         continue
                     c_prev = color[jj][fidx]
-                    if c_prev is None:
+                    if not c_prev:
                         mono = False
                         break
                     if c0 is None:
@@ -276,8 +274,9 @@ def color_from_matching(h: KPartiteHypergraph, m: Matching) -> PartialColoring:
             color[j][idx] = c
         highest = max(highest, c)
     bound = k * h.max_degree + 1
-    assert highest <= bound, f"greedy used {highest} colors, bound {bound}"
-    return PartialColoring(max(highest, 1), color)
+    if highest > bound:
+        raise RuntimeError(f"greedy used {highest} colors, bound {bound}")
+    return PartialColoring(max(highest, 1), [np.array(part, dtype=np.intp) for part in color])
 
 
 def fallback_coloring(

@@ -124,6 +124,10 @@ def sample_hknp(k: int, N: int, p: float, seed: SeedLike) -> KPartiteHypergraph:
     if p == 0:
         return KPartiteHypergraph([N] * k, np.empty((0, k), dtype=np.intp))
     total = N**k
+    if p * total > _MAX_EDGES:
+        raise BudgetExceededError(
+            f"expected edge count {p * total:.3g} exceeds limit {_MAX_EDGES}"
+        )
     if p == 1:
         ranks = np.arange(total)
     elif total <= _PER_EDGE_LIMIT:
@@ -132,10 +136,6 @@ def sample_hknp(k: int, N: int, p: float, seed: SeedLike) -> KPartiteHypergraph:
             start + np.flatnonzero(rng.random(min(_CHUNK, total - start)) < p)
             for start in range(0, total, _CHUNK)
         ])
-    elif p * total > _MAX_EDGES:
-        raise BudgetExceededError(
-            f"expected edge count {p * total:.3g} exceeds limit {_MAX_EDGES}"
-        )
     else:
         rng = rng_for(seed)
         m = int(rng.binomial(total, p))

@@ -3,12 +3,15 @@
 Each function is the loop the library ran before its edges became one
 (m, k) array, kept here verbatim in behaviour so the differential tests
 can require the array code to give identical results, messages included.
-They read only `h.part_sizes`, `h.k` and the tuple view `h.edges`.
+They read only `h.part_sizes`, `h.k` and the tuple view `h.edges`, and
+colorings only as tuple-of-tuples with None for uncolored (`phi.colors`).
 """
 
 import itertools
+import math
+from collections import Counter
 
-from balhyp.core import KPartiteHypergraph
+from balhyp.core import BalancedSet, KPartiteHypergraph
 from balhyp.errors import KhgParseError
 from balhyp.rng import rng_for
 
@@ -133,3 +136,154 @@ def sample_hknp(k, N, p, seed, per_edge_limit=10**7):
             chosen.add(int(r))
     return sorted(rank_to_edge(r, k, N) for r in chosen)
 
+
+
+def incidence(h):
+    """incidence[part-1][index] -> list of edge positions, as the library
+    built it before degrees came from the edge array."""
+    inc = [[[] for _ in range(sz)] for sz in h.part_sizes]
+    for pos, e in enumerate(h.edges):
+        for j, idx in enumerate(e):
+            inc[j][idx].append(pos)
+    return inc
+
+
+def max_degree(h):
+    if not h.edges:
+        return 0
+    return max(len(lst) for part in incidence(h) for lst in part)
+
+
+def max_corank(h):
+    if not h.edges:
+        return 0
+    best = 0
+    for drop in range(h.k):
+        proj = Counter(e[:drop] + e[drop + 1 :] for e in h.edges)
+        best = max(best, max(proj.values()))
+    return best
+
+
+def is_proper_on_colored(h, colors):
+    for e in h.edges:
+        c0 = colors[0][e[0]]
+        if c0 is None:
+            continue
+        if all(colors[j][e[j]] == c0 for j in range(1, h.k)):
+            return False
+    return True
+
+
+def is_proper_balanced_coloring(h, colors, require_total=True):
+    if len(colors) != h.k or tuple(len(p) for p in colors) != h.part_sizes:
+        raise ValueError("coloring shape does not match hypergraph")
+    if require_total and not all(c is not None for part in colors for c in part):
+        return False
+    for c in sorted({c for part in colors for c in part if c is not None}):
+        cls = tuple(tuple(i for i, col in enumerate(part) if col == c) for part in colors)
+        if len({len(sub) for sub in cls}) > 1:
+            return False
+        if not is_balanced_independent(h, BalancedSet(cls)):
+            return False
+    return True
+
+
+def induced(h, subsets):
+    """(part_sizes, edges, remap) of the induced subhypergraph."""
+    if len(subsets) != h.k:
+        raise ValueError(f"expected {h.k} subsets, got {len(subsets)}")
+    remap = []
+    back = []
+    for j, sub in enumerate(subsets):
+        keep = sorted(set(int(i) for i in sub))
+        for idx in keep:
+            if not 0 <= idx < h.part_sizes[j]:
+                raise ValueError(f"index {idx} out of range in part {j + 1}")
+        remap.append(tuple(keep))
+        back.append({old: new for new, old in enumerate(keep)})
+    kept_edges = []
+    for e in h.edges:
+        if all(e[j] in back[j] for j in range(h.k)):
+            kept_edges.append(tuple(back[j][e[j]] for j in range(h.k)))
+    return tuple(len(r) for r in remap), tuple(kept_edges), tuple(remap)
+
+
+def col_random_phase(h, q, seed):
+    """(colors, lists_k, u_k) of the random phase."""
+    n = h.part_sizes[0]
+    k = h.k
+    rng = rng_for(seed)
+    cols = [rng.integers(1, q + 1, size=n) for _ in range(k - 1)]
+    selectors = rng.random(n)
+    banned = [set() for _ in range(n)]
+    for e in h.edges:
+        c0 = cols[0][e[0]]
+        if all(cols[j][e[j]] == c0 for j in range(1, k - 1)):
+            banned[e[k - 1]].add(int(c0))
+    lists_k = []
+    part_k = []
+    u_k = []
+    for v in range(n):
+        survivors = tuple(c for c in range(1, q + 1) if c not in banned[v])
+        lists_k.append(survivors)
+        if survivors:
+            rank = max(1, math.ceil(selectors[v] * len(survivors)))
+            part_k.append(survivors[rank - 1])
+        else:
+            part_k.append(None)
+            u_k.append(v)
+    colors = tuple(tuple(int(c) for c in col) for col in cols) + (tuple(part_k),)
+    return colors, tuple(lists_k), tuple(u_k)
+
+
+def classes(colors, q):
+    """(part, color) -> sorted indices colored that color (PhaseState.classes)."""
+    out = {}
+    for j, part in enumerate(colors):
+        for c in range(1, q + 1):
+            out[(j + 1, c)] = tuple(i for i, col in enumerate(part) if col == c)
+    return out
+
+
+def rebalance(h, colors, q, n_c_target, threshold):
+    """(colors, n_c, u_k_prime, bad_sets, clamped, good_shortage) of the
+    rebalancing step, for a coloring with palette q."""
+    k = h.k
+    n = h.part_sizes[0]
+    inc = incidence(h)
+    cls_of = classes(colors, q)
+    n_c = min(
+        [n_c_target]
+        + [len(cls_of[(j, c)]) for j in range(1, k + 1) for c in range(1, q + 1)]
+    )
+    clamped = n_c < n_c_target
+    colors = [list(part) for part in colors]
+    for c in range(1, q + 1):
+        cls = cls_of[(k, c)]
+        for idx in cls[: len(cls) - n_c]:
+            colors[k - 1][idx] = None
+    u_k_prime = tuple(i for i in range(n) if colors[k - 1][i] is None)
+    pool = set(u_k_prime)
+    bad_sets = {}
+    good_shortage = False
+    for j in range(1, k):
+        for c in range(1, q + 1):
+            cls = cls_of[(j, c)]
+            bad = tuple(
+                u
+                for u in cls
+                if sum(1 for pos in inc[j - 1][u] if h.edges[pos][k - 1] in pool)
+                >= threshold
+            )
+            bad_sets[(j, c)] = bad
+            drop = len(cls) - n_c
+            good = [u for u in cls if u not in set(bad)]
+            chosen = good[:drop]
+            if len(chosen) < drop:
+                good_shortage = True
+                need = drop - len(chosen)
+                chosen += [u for u in bad if u not in set(chosen)][:need]
+            for idx in chosen:
+                colors[j - 1][idx] = None
+    colors = tuple(tuple(part) for part in colors)
+    return colors, n_c, u_k_prime, bad_sets, clamped, good_shortage

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from balhyp.cli import fmt_sci6, main
-from balhyp.core import emit_khg
+from balhyp.core import KPartiteHypergraph, emit_khg
 from balhyp.models import sample_hknp
 
 
@@ -38,6 +38,25 @@ def test_gen_writes_canonical_bytes(tmp_path):
     run(["gen", "--k", "2", "--n", "6", "--p", "0.3", "--seed", "3",
          "--out", str(out)])
     assert out.read_text() == emit_khg(sample_hknp(2, 6, 0.3, 3))
+
+
+def test_verify_never_builds_incidence(tmp_path, capsys, monkeypatch):
+    # verify reads degrees off the edge array, so part sizes of 10^12 cost
+    # nothing per vertex
+    def boom(self):
+        raise AssertionError("verify built the per-vertex incidence")
+
+    monkeypatch.setattr(KPartiteHypergraph, "incidence", property(boom))
+    small = tmp_path / "h.khg"
+    small.write_text(emit_khg(sample_hknp(2, 8, 0.25, 7)))
+    assert run(["verify", "--in", str(small)]) == 0
+    assert capsys.readouterr().out.startswith("ok: k=2 parts=8,8")
+    huge = tmp_path / "huge.khg"
+    huge.write_text("khg 1\n2 1000000000000 1000000000000\n1\n999999999999 0\n")
+    assert run(["verify", "--in", str(huge)]) == 0
+    assert capsys.readouterr().out == (
+        "ok: k=2 parts=1000000000000,1000000000000 m=1 delta=1 balanced=yes\n"
+    )
 
 
 def test_verify_parse_error(tmp_path, capsys):

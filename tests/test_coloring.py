@@ -8,7 +8,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import balhyp.coloring
 from balhyp.coloring import (
     PhaseState,
     col_params,
@@ -27,6 +29,7 @@ from balhyp.errors import RegimeError
 from balhyp.models import sample_hknp
 
 from conftest import cap_max_degree
+import reference
 
 
 def quiet_col_params(*args):
@@ -346,3 +349,95 @@ def test_empty_list_product_exact_enumeration():
     assert p_empty == Fraction(3, 4)
     assert product == Fraction(49, 64)
     assert p_empty <= product
+
+
+# --- differential tests against the pure-Python references -----------------
+
+
+@st.composite
+def balanced_hypergraphs(draw):
+    """n-balanced, k in 2..4, n in 1..7, duplicate-free edges, often edgeless."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 7))
+    edges = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * k), unique=True, max_size=40))
+    return KPartiteHypergraph([n] * k, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(balanced_hypergraphs(), st.integers(1, 8), st.integers(0, 2**32))
+def test_col_random_phase_matches_reference(h, q, seed):
+    state = col_random_phase(h, q, seed)
+    assert (state.phi.colors, state.lists_k, state.u_k) == reference.col_random_phase(h, q, seed)
+    assert state.classes() == reference.classes(state.phi.colors, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rebalance_matches_reference(data):
+    """Any partial coloring, uncolored vertices included, any target n_c
+    and badness threshold."""
+    h = data.draw(balanced_hypergraphs())
+    n, q = h.part_sizes[0], data.draw(st.integers(1, 8))
+    color = st.none() | st.integers(1, q)
+    colors = [data.draw(st.lists(color, min_size=n, max_size=n)) for _ in range(h.k)]
+    params = SimpleNamespace(n_c=data.draw(st.integers(0, n)),
+                             delta_tilde_eff=data.draw(st.integers(1, 3)))
+    state = PhaseState(h=h, phi=PartialColoring(q, colors), q=q, lists_k=(), u_k=())
+    assert state.classes() == reference.classes(colors, q)
+    out = rebalance(state, params)
+    want = reference.rebalance(h, colors, q, params.n_c, params.delta_tilde_eff)
+    got = (out.phi.colors, out.n_c, out.u_k_prime, out.bad_sets, out.clamped, out.good_shortage)
+    assert got == want
+    assert out.classes() == reference.classes(want[0], q)
+
+
+# --- post-conditions are explicit checks, kept under python -O ---------------
+
+
+def test_col_random_phase_raises_when_check_fails(monkeypatch):
+    h = KPartiteHypergraph([3, 3], [(0, 0)])
+    col_random_phase(h, 2, 0)
+    monkeypatch.setattr(balhyp.coloring, "is_proper_on_colored", lambda h, phi: False)
+    with pytest.raises(RuntimeError, match="monochromatic"):
+        col_random_phase(h, 2, 0)
+
+
+def _main_path_instance():
+    # the first attempt at seed 0 is accepted and leaves a residual with edges
+    h = sample_hknp(2, 12, 0.05, (50, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, report = full_coloring(h, 0.2, seed=0)
+    assert (report["path"], report["retries_used"], report["residual_delta"]) == ("main", 1, 1)
+    return h
+
+
+@pytest.mark.parametrize("check", ["total", "proper_balanced", "palette"])
+def test_full_coloring_main_path_raises_when_check_fails(monkeypatch, check):
+    h = _main_path_instance()
+    if check == "total":
+        monkeypatch.setattr(PartialColoring, "is_total", lambda self: False)
+        match = "uncolored"
+    elif check == "proper_balanced":
+        monkeypatch.setattr(balhyp.coloring, "is_proper_balanced_coloring", lambda *a, **kw: False)
+        match = "not a proper balanced coloring"
+    else:
+        monkeypatch.setattr(PartialColoring, "colors_used", lambda self: tuple(range(1, 10**3)))
+        match = "main path used 999 colors"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(RuntimeError, match=match):
+            full_coloring(h, 0.2, seed=0)
+
+
+@pytest.mark.parametrize("route", ["regime_rejected", "no_attempt_accepted"])
+def test_full_coloring_fallback_bound_raises(monkeypatch, route):
+    if route == "regime_rejected":
+        h, retries = KPartiteHypergraph([2, 2], [(0, 0)]), 16  # n=2 below q
+    else:
+        h, retries = _main_path_instance(), 0
+    monkeypatch.setattr(PartialColoring, "colors_used", lambda self: tuple(range(1, 10**3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(RuntimeError, match="fallback path used 999 colors"):
+            full_coloring(h, 0.2, seed=0, max_retries=retries)

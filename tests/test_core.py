@@ -398,3 +398,156 @@ def test_parse_index_beyond_intp_reaches_validate():
         "edge 0 (0, 99999999999999999999): index 99999999999999999999 out of range in part 2",
     )
     assert parse_khg("khg 1\n2 1 1\n1\n0 9223372036854775807\n").edges == ((0, 2**63 - 1),)
+
+
+@st.composite
+def colored_hypergraphs(draw):
+    """A valid hypergraph (k in 2..4, often edgeless) with a palette q in
+    1..8 and per-part color lists holding None for uncolored.  Half the
+    time all parts get one color multiset, so classes are balanced."""
+    k = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(1, 6))] * k
+    else:
+        sizes = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    edge = st.tuples(*[st.integers(0, sz - 1) for sz in sizes])
+    edges = draw(st.lists(edge, unique=True, max_size=24))
+    q = draw(st.integers(1, 8))
+    color = st.none() | st.integers(1, q)
+    first = draw(st.lists(color, min_size=sizes[0], max_size=sizes[0]))
+    if len(set(sizes)) == 1 and draw(st.booleans()):
+        colors = [first] + [draw(st.permutations(first)) for _ in sizes[1:]]
+    else:
+        colors = [first] + [draw(st.lists(color, min_size=sz, max_size=sz)) for sz in sizes[1:]]
+    return KPartiteHypergraph(sizes, edges), q, colors
+
+
+def as_color_arrays(colors, dtype=np.intp):
+    return [np.array([0 if c is None else c for c in part], dtype=dtype) for part in colors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_hypergraphs())
+def test_proper_checks_match_reference(case):
+    h, q, colors = case
+    phi = PartialColoring(q, colors)
+    assert is_proper_on_colored(h, phi) == reference.is_proper_on_colored(h, colors)
+    for total in (True, False):
+        assert is_proper_balanced_coloring(h, phi, require_total=total) == (
+            reference.is_proper_balanced_coloring(h, colors, require_total=total)
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_hypergraphs())
+def test_max_degree_matches_reference(case):
+    h = case[0]
+    assert h.max_degree == reference.max_degree(h)
+    assert KPartiteHypergraph(h.part_sizes, h.edge_array).max_degree == h.max_degree
+
+
+def _subset_forms(values):
+    """Ways to hand `values` to `induced`: list, tuple, generator, ndarray."""
+    return (
+        lambda: list(values),
+        lambda: tuple(values),
+        lambda: (v for v in values),
+        lambda: np.array(values, dtype=np.int64),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_induced_matches_reference(data):
+    """Same subhypergraph and remap, or the same error, for subsets with
+    repeats and out-of-range indices on unbalanced part sizes."""
+    h = data.draw(colored_hypergraphs())[0]
+    count = data.draw(st.sampled_from([h.k] * 8 + [h.k - 1, h.k + 1]))
+    picks = []
+    for j in range(count):
+        sz = h.part_sizes[j % h.k]
+        values = data.draw(st.lists(st.integers(-2, sz + 1) | st.integers(0, sz - 1), max_size=8))
+        picks.append((data.draw(st.integers(0, 3)), values))
+    args = lambda: [_subset_forms(values)[form]() for form, values in picks]
+    try:
+        want = reference.induced(h, args())
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            induced(h, args())
+        assert str(err.value) == str(exc)
+        return
+    sub, remap = induced(h, args())
+    assert (sub.part_sizes, sub.edges, remap) == want
+    assert sub.edge_array.shape == (len(want[1]), h.k)
+
+
+def test_induced_index_beyond_intp():
+    h = KPartiteHypergraph([3, 3], [(0, 0)])
+    for subsets, smallest in (([(0, 2**70, -5, 2**70), (0,)], -5), ([(0, 2**70), (0,)], 2**70)):
+        with pytest.raises(ValueError) as err:
+            induced(h, subsets)
+        with pytest.raises(ValueError) as want:
+            reference.induced(h, subsets)
+        assert str(err.value) == str(want.value) == f"index {smallest} out of range in part 1"
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_hypergraphs(), st.sampled_from([np.intp, np.int8, np.int32, np.uint16, np.uint64]))
+def test_partial_coloring_arrays_match_tuples(case, dtype):
+    _, q, colors = case
+    tup = PartialColoring(q, colors)
+    arr = PartialColoring(q, as_color_arrays(colors, dtype))
+    assert arr == tup and tup == arr
+    assert arr.colors == tup.colors == tuple(tuple(part) for part in colors)
+    for a in arr.color_arrays:
+        assert a.dtype == np.intp and not a.flags.writeable
+    assert arr.is_total() == all(c is not None for p in colors for c in p)
+    assert arr.colors_used() == tuple(sorted({c for p in colors for c in p if c is not None}))
+    for c in range(q + 2):
+        assert arr.class_of(c) == tuple(
+            tuple(i for i, col in enumerate(p) if col == c) for p in colors
+        )
+    assert arr != PartialColoring(q + 1, colors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_partial_coloring_palette_error(data):
+    """Arrays and tuples name the same first color outside [1..q]; in an
+    array 0 is uncolored, in a tuple it is outside the palette."""
+    q = data.draw(st.integers(1, 8))
+    parts = data.draw(st.lists(st.lists(st.integers(-3, q + 3) | st.none(), max_size=5),
+                               min_size=1, max_size=4))
+    outside = [c for p in parts for c in p if c is not None and not 1 <= c <= q]
+    nonzero_outside = [c for c in outside if c != 0]
+    try:
+        PartialColoring(q, parts)
+        assert not outside
+    except ValueError as exc:
+        assert str(exc) == f"color {outside[0]} outside palette [1..{q}]"
+    try:
+        PartialColoring(q, as_color_arrays(parts))
+        assert not nonzero_outside
+    except ValueError as exc:
+        assert str(exc) == f"color {nonzero_outside[0]} outside palette [1..{q}]"
+
+
+def test_partial_coloring_array_constructor():
+    phi = PartialColoring(3, [np.array([1, 0, 3], dtype=np.int16), np.array([0, 2, 2])])
+    assert phi.colors == ((1, None, 3), (None, 2, 2))
+    assert phi.color_of(Vertex(1, 1)) is None and phi.color_of(Vertex(2, 2)) == 2
+    assert not phi.is_total()
+    assert phi.colors_used() == (1, 2, 3)
+    with pytest.raises(ValueError, match="color 4 outside palette"):
+        PartialColoring(3, [np.array([4], dtype=np.uint8)])
+    with pytest.raises(ValueError, match=r"color 18446744073709551615 outside palette \[1..3\]"):
+        PartialColoring(3, [np.array([2**64 - 1], dtype=np.uint64)])
+    with pytest.raises(ValueError, match="color 99999999999999999999 outside palette"):
+        PartialColoring(3, [[1, 99999999999999999999]])
+    for bad in (np.zeros((2, 2), dtype=int), np.zeros(2)):
+        with pytest.raises(ValueError):
+            PartialColoring(3, [bad])
+    src = np.array([1, 2])
+    phi = PartialColoring(2, [src])
+    src[0] = 2  # the coloring keeps its own copy
+    assert phi.colors == ((1, 2),)

@@ -195,15 +195,6 @@ def test_timing_column_opt_in(tmp_path):
     assert header.endswith(",wall_time")
 
 
-def test_thread_pool_order_stable(monkeypatch):
-    spec = spec_of("bound", [{"k": 2, "N": 5, "s": 2, "p": 0.4}], 40, 6)
-    records_serial, summary_serial = run_experiment(spec)
-    monkeypatch.setenv("BALHYP_THREADS", "4")
-    records_pool, summary_pool = run_experiment(spec)
-    assert [r.fields for r in records_pool] == [r.fields for r in records_serial]
-    assert summary_pool == summary_serial
-
-
 def test_stream_derivation_stable_across_added_cells():
     # Appending a cell never perturbs the trials of existing cells.
     c0 = {"k": 2, "N": 5, "s": 2, "p": 0.4}

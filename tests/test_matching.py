@@ -3,6 +3,7 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balhyp.core import (
     KPartiteHypergraph,
@@ -12,6 +13,7 @@ from balhyp.core import (
 from balhyp.errors import BudgetExceededError
 from balhyp.matching import (
     Matching,
+    _max_corank,
     color_from_matching,
     exact_pm_complement,
     fallback_coloring,
@@ -21,6 +23,7 @@ from balhyp.matching import (
 from balhyp.models import sample_hknp
 
 from conftest import cap_max_degree, mixed_instances
+import reference
 
 
 def test_violations_clean():
@@ -204,3 +207,23 @@ def test_balanced_classes_give_matchings():
         m = exact_pm_complement(sub)
         assert m is not None
         assert matching_violations(sub, m) == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_max_corank_matches_reference(data):
+    k = data.draw(st.integers(2, 4))
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    edge = st.tuples(*[st.integers(0, sz - 1) for sz in sizes])
+    h = KPartiteHypergraph(sizes, data.draw(st.lists(edge, unique=True, max_size=30)))
+    assert _max_corank(h) == reference.max_corank(h)
+
+
+def test_color_from_matching_raises_past_palette_bound():
+    # the second tuple closes edge (0, 0) in color 1, so it takes color 2
+    h = KPartiteHypergraph([2, 2], [(0, 0)])
+    m = Matching(edges=((0, 1), (1, 0)), perfect=True)
+    assert color_from_matching(h, m).colors == ((1, 2), (2, 1))
+    h.max_degree = 0  # bound k * 0 + 1 = 1
+    with pytest.raises(RuntimeError, match="greedy used 2 colors, bound 1"):
+        color_from_matching(h, m)

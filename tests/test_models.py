@@ -5,6 +5,7 @@ import math
 import pytest
 
 import balhyp.models
+from balhyp.cli import main
 from balhyp.core import KPartiteHypergraph
 from balhyp.errors import BudgetExceededError, RegimeError
 from balhyp.models import (
@@ -25,6 +26,18 @@ def test_sample_p0_edgeless():
     assert h.edges == ()
     # N^k beyond intp: no rank is ever formed
     assert sample_hknp(3, 10**7, 0.0, 1).edge_array.shape == (0, 3)
+
+
+def test_sample_p1_respects_edge_budget(monkeypatch, tmp_path):
+    # N^k = 400 certain edges against a budget of 100: refused before any
+    # rank is formed, through the API and as `gen` exit code 3
+    monkeypatch.setattr(balhyp.models, "_MAX_EDGES", 100)
+    with pytest.raises(BudgetExceededError):
+        sample_hknp(2, 20, 1.0, 0)
+    out = tmp_path / "h.khg"
+    assert main(["gen", "--k", "2", "--n", "20", "--p", "1", "--seed", "0", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert len(sample_hknp(2, 10, 1.0, 0).edge_array) == 100
 
 
 def test_sample_p1_complete():
