@@ -43,7 +43,6 @@ from balhyp.matching import (
     find_pm_complement,
 )
 from balhyp.models import (
-    Seed,
     UpperBoundParams,
     exists_balanced_is,
     sample_hknp,
@@ -63,7 +62,6 @@ __all__ = [
     "Matching",
     "PartialColoring",
     "RegimeError",
-    "Seed",
     "UpperBoundParams",
     "Vertex",
     "best_of_trials",

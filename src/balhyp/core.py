@@ -6,20 +6,20 @@ indices where slot i holds the part-(i+1) member, so "one vertex per part"
 is structural and cannot be violated by construction.
 
 The edges are held as one read-only (m, k) `np.intp` array, `edge_array`,
-whose row i is edge i; the hot paths are array expressions over it.  The
-tuple-of-tuples view `edges` is built from it on first use, for the
-callers that walk edges one by one.
+whose row i is edge i; the hot paths are array expressions over it, and
+vertex degrees are one `bincount` per column of it.  The tuple-of-tuples
+view `edges` is built from it on first use, for the callers that walk
+edges one by one.
 
 A constructed hypergraph is immutable and safe to share across concurrent
-readers; the edge views and the incidence and degree caches are built
-lazily on first use.
+readers; the edge views and the degree cache are built lazily on first use.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -88,17 +88,19 @@ class KPartiteHypergraph:
         return frozenset(self.edges)
 
     @cached_property
-    def incidence(self) -> tuple:
-        """incidence[part-1][index] -> tuple of edge positions containing that vertex."""
-        inc = [[[] for _ in range(sz)] for sz in self.part_sizes]
-        for pos, e in enumerate(self.edges):
-            for j, idx in enumerate(e):
-                inc[j][idx].append(pos)
-        return tuple(tuple(tuple(lst) for lst in part) for part in inc)
+    def degrees(self) -> tuple:
+        """degrees[part-1][index]: vertex degrees, one read-only array per part.
+
+        Memory is Theta(sum of part sizes); `max_degree` does without it.
+        """
+        e = self.edge_array
+        return tuple(
+            _frozen(np.bincount(e[:, j], minlength=sz)) for j, sz in enumerate(self.part_sizes)
+        )
 
     def degree(self, v: Vertex) -> int:
         part, index = v
-        return len(self.incidence[part - 1][index])
+        return int(self.degrees[part - 1][index])
 
     @cached_property
     def max_degree(self) -> int:
@@ -220,30 +222,6 @@ def validate(h: KPartiteHypergraph) -> Diagnostics:
     return Diagnostics(ok=not bad, violations=tuple(bad))
 
 
-class DegreeProfile:
-    """Per-vertex degrees, max degree, average degree and minimum codegrees."""
-
-    def __init__(self, h: KPartiteHypergraph):
-        self.h = h
-        self.per_part_degrees = tuple(
-            tuple(len(lst) for lst in part) for part in h.incidence
-        )
-        self.max_degree = h.max_degree
-        # average degree D = |E|/n is defined for n-balanced hypergraphs only
-        self.avg_degree: Optional[Fraction] = (
-            Fraction(len(h.edges), h.n) if h.n_balanced and h.part_sizes[0] > 0 else None
-        )
-        self._delta_cache: dict = {}
-
-    def degree(self, v: Vertex) -> int:
-        return self.per_part_degrees[v.part - 1][v.index]
-
-    def min_codegree(self, j: int) -> int:
-        if j not in self._delta_cache:
-            self._delta_cache[j] = min_codegree(self.h, j)
-        return self._delta_cache[j]
-
-
 def codegree(h: KPartiteHypergraph, selection: Iterable[Vertex]) -> int:
     """Number of edges containing every vertex of `selection`.
 
@@ -260,38 +238,39 @@ def codegree(h: KPartiteHypergraph, selection: Iterable[Vertex]) -> int:
         if v.part in parts_seen:
             raise ValueError(f"selection has two vertices in part {v.part}")
         parts_seen.add(v.part)
-    if not sel:
-        return len(h.edges)
-    # intersect incidence lists, smallest first
-    lists = sorted((h.incidence[v.part - 1][v.index] for v in sel), key=len)
-    live = set(lists[0])
-    for lst in lists[1:]:
-        live &= set(lst)
-        if not live:
-            return 0
-    return len(live)
+    e = h.edge_array
+    inside = np.ones(len(e), dtype=bool)
+    for v in sel:
+        inside &= e[:, v.part - 1] == v.index
+    return int(np.count_nonzero(inside))
+
+
+def incidence(h: KPartiteHypergraph, j: int) -> list:
+    """Per vertex of part j+1, the rows of the edges through it as int
+    lists, in edge order.  One list per vertex: for the exhaustive oracles."""
+    groups = [[] for _ in range(h.part_sizes[j])]
+    for e in h.edge_array.tolist():
+        groups[e[j]].append(e)
+    return groups
 
 
 def min_codegree(h: KPartiteHypergraph, j: int) -> int:
     """delta_j: minimum codegree over all cross-part selections of size j.
 
-    Exhaustive enumeration over C(k, j) * prod(part sizes) selections; desk
-    scale only.
+    Counts every selection of each of the C(k, j) part choices, so memory
+    is the product of the chosen part sizes; desk scale only.
     """
     if not 1 <= j <= h.k:
         raise ValueError(f"j={j} out of range [1, {h.k}]")
-    if not h.edges:
+    e = h.edge_array
+    if not len(e):
         return 0
-    best = None
+    lows = []
     for parts in itertools.combinations(range(h.k), j):
-        for idxs in itertools.product(*(range(h.part_sizes[p]) for p in parts)):
-            sel = [Vertex(p + 1, i) for p, i in zip(parts, idxs)]
-            d = codegree(h, sel)
-            if best is None or d < best:
-                best = d
-                if best == 0:
-                    return 0
-    return best
+        dims = [h.part_sizes[p] for p in parts]
+        flat = np.ravel_multi_index(e[:, list(parts)].T, dims)
+        lows.append(int(np.bincount(flat, minlength=math.prod(dims)).min()))
+    return min(lows)
 
 
 class BalancedSet:

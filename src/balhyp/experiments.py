@@ -177,7 +177,7 @@ def _run_cell_bis(cell, ci, spec):
         )
     vk = [row[k - 1] for row in sizes]
     mean_k, se_k = _mean_se(vk)
-    harris = sum((1 - p ** (k - 1)) ** len(lst) for lst in h.incidence[k - 1])
+    harris = sum((1 - p ** (k - 1)) ** d for d in h.degrees[k - 1].tolist())
     summaries.append(
         ("survivor_mean_lower", mean_k, harris - 3 * se_k, mean_k >= harris - 3 * se_k)
     )
@@ -203,7 +203,7 @@ def _run_cell_concentration(cell, ci, spec):
     k, n, q, D = cell["k"], cell["n"], cell["q"], cell["D"]
     p_edge = min(D / n ** (k - 1), 1.0)
     h = sample_hknp(k, n, p_edge, (spec.seed, ci, 0))
-    deg_k = [len(lst) for lst in h.incidence[k - 1]]
+    deg_k = h.degrees[k - 1].tolist()
     probe = max(range(n), key=lambda i: (deg_k[i], -i))
 
     def one(t):

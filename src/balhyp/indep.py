@@ -9,7 +9,6 @@ p its side is close to the extremal bound for average degree D.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ import numpy as np
 
 from balhyp.core import BalancedSet, KPartiteHypergraph, is_balanced_independent
 from balhyp.errors import BudgetExceededError, RegimeError
+from balhyp.models import _balanced_is_witness
 from balhyp.rng import SeedLike, as_stream, rng_for
 
 __all__ = [
@@ -212,7 +212,8 @@ def exact_alpha_b(
 
     Exhaustive over all side-s part subsets, s descending from the minimum
     part size; refuses (never guesses) when sum_s prod_j C(n_j, s) exceeds
-    the budget.  Meant for very small instances.
+    the budget.  Meant for very small instances.  The witness is checked
+    to be balanced independent; a failure raises RuntimeError.
     """
     smax = min(h.part_sizes)
     cost = 0
@@ -225,23 +226,10 @@ def exact_alpha_b(
             raise BudgetExceededError(
                 f"sum of C(n,s)^k terms exceeds enumeration budget {budget}"
             )
-    k = h.k
-    nk = h.part_sizes[-1]
     for s in range(smax, 0, -1):
-        ranges = [range(sz) for sz in h.part_sizes[:-1]]
-        for combo in itertools.product(
-            *(itertools.combinations(r, s) for r in ranges)
-        ):
-            member = [set(sub) for sub in combo[1:]]
-            blocked = set()
-            for u in combo[0]:
-                for pos in h.incidence[0][u]:
-                    e = h.edges[pos]
-                    if all(e[j] in member[j - 1] for j in range(1, k - 1)):
-                        blocked.add(e[k - 1])
-            if nk - len(blocked) >= s:
-                free = [i for i in range(nk) if i not in blocked]
-                witness = BalancedSet(list(combo) + [free[:s]])
-                assert is_balanced_independent(h, witness)
-                return s, witness
-    return 0, BalancedSet([()] * k)
+        witness = _balanced_is_witness(h, s)
+        if witness is not None:
+            if not is_balanced_independent(h, witness):
+                raise RuntimeError(f"exact_alpha_b witness of side {s} contains an edge")
+            return s, witness
+    return 0, BalancedSet([()] * h.k)

@@ -234,49 +234,44 @@ def color_from_matching(h: KPartiteHypergraph, m: Matching) -> PartialColoring:
     among vertices colored so far.  Each host edge touching tuple i forbids
     at most one color and at most k*Delta edges touch it, so the palette
     never exceeds k*Delta(H) + 1.
+
+    A host edge's owner row names the tuple holding each of its ends; the
+    edge is looked at once, when the last of those tuples is colored, and
+    forbids a color exactly when its other ends all carry that color.
     """
     bad = matching_violations(h, Matching(edges=m.edges, perfect=True))
     if bad:
         raise ValueError("not a perfect complement matching: " + "; ".join(bad))
-    k = h.k
-    color = [[0] * sz for sz in h.part_sizes]  # 0: not colored yet
-    highest = 0
-    for t in m.edges:
+    n_t = len(m.edges)
+    tuples = np.array(m.edges, dtype=np.intp).reshape(n_t, h.k)
+    owner = []
+    for j, sz in enumerate(h.part_sizes):
+        o = np.empty(sz, dtype=np.intp)
+        o[tuples[:, j]] = np.arange(n_t)
+        owner.append(o)
+    e = h.edge_array
+    rows = np.stack([owner[j][e[:, j]] for j in range(h.k)], axis=1)
+    last = rows.max(axis=1)
+    order = np.argsort(last, kind="stable")
+    rows = rows[order].tolist()
+    starts = np.searchsorted(last[order], np.arange(n_t + 1)).tolist()
+    col = [0] * n_t  # 0: not colored yet, so tuple i reads as 0 while chosen
+    for i in range(n_t):
         forbidden = set()
-        for j, idx in enumerate(t):
-            for pos in h.incidence[j][idx]:
-                f = h.edges[pos]
-                # color shared by f's vertices if t were colored c: vertices
-                # of f inside t would get c, the rest need an existing color
-                c0 = None
-                mono = True
-                for jj, fidx in enumerate(f):
-                    if fidx == t[jj]:
-                        continue
-                    c_prev = color[jj][fidx]
-                    if not c_prev:
-                        mono = False
-                        break
-                    if c0 is None:
-                        c0 = c_prev
-                    elif c0 != c_prev:
-                        mono = False
-                        break
-                if mono and c0 is not None:
-                    forbidden.add(c0)
-                elif mono and c0 is None:
-                    # f entirely inside t: impossible, t is a non-edge
-                    raise AssertionError("matching tuple equals a host edge")
+        for row in rows[starts[i] : starts[i + 1]]:
+            seen = {col[o] for o in row}
+            if len(seen) == 2:
+                forbidden.add(max(seen))
         c = 1
         while c in forbidden:
             c += 1
-        for j, idx in enumerate(t):
-            color[j][idx] = c
-        highest = max(highest, c)
-    bound = k * h.max_degree + 1
+        col[i] = c
+    highest = max(col, default=0)
+    bound = h.k * h.max_degree + 1
     if highest > bound:
         raise RuntimeError(f"greedy used {highest} colors, bound {bound}")
-    return PartialColoring(max(highest, 1), [np.array(part, dtype=np.intp) for part in color])
+    tuple_color = np.array(col, dtype=np.intp)
+    return PartialColoring(max(highest, 1), [tuple_color[o] for o in owner])
 
 
 def fallback_coloring(

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from balhyp.core import KPartiteHypergraph, induced
+from balhyp.core import BalancedSet, KPartiteHypergraph, incidence, induced
 from balhyp.errors import BudgetExceededError, RegimeError
-from balhyp.rng import Seed, SeedLike, rng_for
+from balhyp.rng import SeedLike, rng_for
 
 __all__ = [
-    "Seed",
     "UpperBoundParams",
     "sample_hknp",
     "trim_top_degree",
@@ -164,10 +163,10 @@ def trim_top_degree(h: KPartiteHypergraph, t: int) -> KPartiteHypergraph:
     if t == 0:
         return h
     keep = []
-    for part in h.incidence:
-        order = sorted(range(len(part)), key=lambda i: (-len(part[i]), i))
-        removed = set(order[:t])
-        keep.append([i for i in range(len(part)) if i not in removed])
+    for deg in h.degrees:
+        kept = np.ones(len(deg), dtype=bool)
+        kept[np.argsort(-deg, kind="stable")[:t]] = False
+        keep.append(np.flatnonzero(kept))
     sub, _ = induced(h, keep)
     return sub
 
@@ -214,19 +213,31 @@ def exists_balanced_is(
             raise BudgetExceededError(
                 f"C(n,s)^k exceeds enumeration budget {budget}"
             )
+    return _balanced_is_witness(h, s) is not None
+
+
+def _balanced_is_witness(h: KPartiteHypergraph, s: int) -> BalancedSet | None:
+    """The first side-s balanced independent set in enumeration order, or None.
+
+    Walks side-s subsets of parts 1..k-1 in lexicographic order; a part-k
+    vertex is blocked when some edge through the chosen part-1 vertices
+    has all its other ends chosen, and the witness completes the subsets
+    with the s lowest unblocked part-k vertices.  Assumes 0 <= s <= every
+    part size.
+    """
     k = h.k
     nk = h.part_sizes[-1]
-    ranges = [range(sz) for sz in h.part_sizes[:-1]]
+    by_first = incidence(h, 0)
     for combo in itertools.product(
-        *(itertools.combinations(r, s) for r in ranges)
+        *(itertools.combinations(range(sz), s) for sz in h.part_sizes[:-1])
     ):
         member = [set(sub) for sub in combo[1:]]
         blocked = set()
         for u in combo[0]:
-            for pos in h.incidence[0][u]:
-                e = h.edges[pos]
+            for e in by_first[u]:
                 if all(e[j] in member[j - 1] for j in range(1, k - 1)):
                     blocked.add(e[k - 1])
         if nk - len(blocked) >= s:
-            return True
-    return False
+            free = [i for i in range(nk) if i not in blocked]
+            return BalancedSet(list(combo) + [free[:s]])
+    return None

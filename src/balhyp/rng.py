@@ -10,24 +10,16 @@ existing ones.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
-
-class Seed(NamedTuple):
-    """A 64-bit seed plus a stream index; equal pairs give identical samples."""
-
-    value: int
-    stream: int = 0
-
-
-SeedLike = Union[int, Seed, tuple]
+SeedLike = Union[int, tuple]
 
 
 def as_stream(seed: SeedLike) -> tuple:
     """The entropy tuple of `seed`, to be extended with stream indices."""
-    if isinstance(seed, (tuple, Seed)):
+    if isinstance(seed, tuple):
         return tuple(int(x) for x in seed)
     return (int(seed),)
 
@@ -35,10 +27,10 @@ def as_stream(seed: SeedLike) -> tuple:
 def rng_for(seed, *stream: int) -> np.random.Generator:
     """Return a PCG64 generator for `seed` extended by `stream` indices.
 
-    `seed` may be an int, a Seed, or a tuple of ints; all components must be
+    `seed` may be an int or a tuple of ints; all components must be
     non-negative integers.
     """
-    if isinstance(seed, (tuple, Seed)):
+    if isinstance(seed, tuple):
         entropy = list(seed) + list(stream)
     else:
         entropy = [int(seed)] + list(stream)

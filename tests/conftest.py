@@ -1,8 +1,8 @@
 """Shared helpers: instance generators and tiny independent oracles.
 
 The oracles here deliberately use different algorithms from the library
-(full product enumeration instead of blocked-set pruning, edge-subset
-scans instead of incidence walks) so that agreement is meaningful.
+(full product enumeration over all k parts instead of blocked-set
+pruning) so that agreement is meaningful.
 """
 
 import itertools
@@ -77,6 +77,24 @@ def mixed_instances(master: int, count: int, ks=(2, 3), n_max: int = 6):
         n = pick.randint(2, n_max)
         density = pick.choice([0.0, 0.1, 0.25, 0.5, 0.9])
         out.append(random_instance(master, i, k, n, density))
+    return out
+
+
+def product_instances(master: int, rounds: int, ks=(2, 3, 4), n_max: int = 4):
+    """Seeded instances, per round and k: edgeless, density 0.3 and 0.7,
+    and complete; part sizes drawn independently from 1..n_max, so most
+    are unbalanced.  Edges come in lexicographic order."""
+    pick = random.Random(master)
+    out = []
+    for _ in range(rounds):
+        for k in ks:
+            for density in (0.0, 0.3, 0.7, 1.0):
+                sizes = [pick.randint(1, n_max) for _ in range(k)]
+                edges = [
+                    t for t in itertools.product(*map(range, sizes))
+                    if pick.random() < density
+                ]
+                out.append(KPartiteHypergraph(sizes, edges))
     return out
 
 

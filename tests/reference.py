@@ -287,3 +287,100 @@ def rebalance(h, colors, q, n_c_target, threshold):
                 colors[j - 1][idx] = None
     colors = tuple(tuple(part) for part in colors)
     return colors, n_c, u_k_prime, bad_sets, clamped, good_shortage
+
+
+def codegree(h, selection):
+    """Edges through every (part, index) of `selection`, by intersecting
+    incidence lists, smallest first."""
+    sel = list(selection)
+    if not sel:
+        return len(h.edges)
+    inc = incidence(h)
+    lists = sorted((inc[part - 1][index] for part, index in sel), key=len)
+    live = set(lists[0])
+    for lst in lists[1:]:
+        live &= set(lst)
+        if not live:
+            return 0
+    return len(live)
+
+
+def trim_top_degree(h, t):
+    """Per-part kept indices: all but the t highest-degree vertices, ties
+    to the lowest index."""
+    keep = []
+    for part in incidence(h):
+        order = sorted(range(len(part)), key=lambda i: (-len(part[i]), i))
+        removed = set(order[:t])
+        keep.append([i for i in range(len(part)) if i not in removed])
+    return keep
+
+
+def balanced_is_witness(h, s):
+    """Parts of the first side-s balanced independent set that the
+    blocked-set enumeration finds, or None; 0 <= s <= every part size."""
+    k = h.k
+    nk = h.part_sizes[-1]
+    inc = incidence(h)
+    ranges = [range(sz) for sz in h.part_sizes[:-1]]
+    for combo in itertools.product(*(itertools.combinations(r, s) for r in ranges)):
+        member = [set(sub) for sub in combo[1:]]
+        blocked = set()
+        for u in combo[0]:
+            for pos in inc[0][u]:
+                e = h.edges[pos]
+                if all(e[j] in member[j - 1] for j in range(1, k - 1)):
+                    blocked.add(e[k - 1])
+        if nk - len(blocked) >= s:
+            free = [i for i in range(nk) if i not in blocked]
+            return tuple(combo) + (tuple(free[:s]),)
+    return None
+
+
+def exists_balanced_is(h, s):
+    if s == 0:
+        return True
+    if any(s > sz for sz in h.part_sizes):
+        return False
+    return balanced_is_witness(h, s) is not None
+
+
+def exact_alpha_b(h):
+    """(side, witness parts) of the largest balanced independent set."""
+    for s in range(min(h.part_sizes), 0, -1):
+        witness = balanced_is_witness(h, s)
+        if witness is not None:
+            return s, witness
+    return 0, ((),) * h.k
+
+
+def color_from_matching(h, tuples):
+    """(q, colors) of the greedy matching colorer, colors as int tuples."""
+    inc = incidence(h)
+    color = [[0] * sz for sz in h.part_sizes]
+    highest = 0
+    for t in tuples:
+        forbidden = set()
+        for j, idx in enumerate(t):
+            for pos in inc[j][idx]:
+                f = h.edges[pos]
+                # f closes in color c0 when every end outside t has color c0
+                c0 = None
+                mono = True
+                for jj, fidx in enumerate(f):
+                    if fidx == t[jj]:
+                        continue
+                    c_prev = color[jj][fidx]
+                    if not c_prev or (c0 is not None and c0 != c_prev):
+                        mono = False
+                        break
+                    c0 = c_prev
+                if mono and c0 is not None:
+                    forbidden.add(c0)
+        c = 1
+        while c in forbidden:
+            c += 1
+        for j, idx in enumerate(t):
+            color[j][idx] = c
+        highest = max(highest, c)
+    return max(highest, 1), tuple(tuple(part) for part in color)

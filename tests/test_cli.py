@@ -40,13 +40,13 @@ def test_gen_writes_canonical_bytes(tmp_path):
     assert out.read_text() == emit_khg(sample_hknp(2, 6, 0.3, 3))
 
 
-def test_verify_never_builds_incidence(tmp_path, capsys, monkeypatch):
-    # verify reads degrees off the edge array, so part sizes of 10^12 cost
-    # nothing per vertex
+def test_verify_never_builds_degrees(tmp_path, capsys, monkeypatch):
+    # verify reads the max degree off the edge array, so part sizes of
+    # 10^12 cost nothing per vertex
     def boom(self):
-        raise AssertionError("verify built the per-vertex incidence")
+        raise AssertionError("verify built the per-vertex degrees")
 
-    monkeypatch.setattr(KPartiteHypergraph, "incidence", property(boom))
+    monkeypatch.setattr(KPartiteHypergraph, "degrees", property(boom))
     small = tmp_path / "h.khg"
     small.write_text(emit_khg(sample_hknp(2, 8, 0.25, 7)))
     assert run(["verify", "--in", str(small)]) == 0

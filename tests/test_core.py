@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from balhyp.core import (
     BalancedSet,
-    DegreeProfile,
     KPartiteHypergraph,
     PartialColoring,
     Vertex,
     codegree,
     complement_edges,
     emit_khg,
+    incidence,
     induced,
     is_balanced_independent,
     is_proper_balanced_coloring,
@@ -23,6 +23,7 @@ from balhyp.core import (
 )
 from balhyp.errors import KhgParseError
 
+from conftest import product_instances
 import reference
 
 
@@ -105,14 +106,30 @@ def test_min_codegree_oracle_random():
         assert min_codegree(h, j) == best
 
 
-def test_degree_profile():
-    h = KPartiteHypergraph([2, 2], [(0, 0), (0, 1), (1, 1)])
-    prof = DegreeProfile(h)
-    assert prof.degree(Vertex(1, 0)) == 2
-    assert prof.degree(Vertex(2, 1)) == 2
-    assert prof.max_degree == 2
-    assert prof.avg_degree == 3 / 2
-    assert prof.min_codegree(1) == 1
+def test_degrees_and_incidence_match_reference():
+    for h in product_instances(31, rounds=3):
+        inc = reference.incidence(h)
+        for j, part in enumerate(inc):
+            assert incidence(h, j) == [[list(h.edges[pos]) for pos in lst] for lst in part]
+        want = [[len(lst) for lst in part] for part in inc]
+        assert [d.tolist() for d in h.degrees] == want
+        assert not any(d.flags.writeable for d in h.degrees)
+        assert [
+            [h.degree(Vertex(j + 1, i)) for i in range(sz)] for j, sz in enumerate(h.part_sizes)
+        ] == want
+
+
+def test_codegree_matches_reference():
+    for h in product_instances(32, rounds=2, n_max=3):
+        for j in range(h.k + 1):
+            counts = []
+            for parts in itertools.combinations(range(1, h.k + 1), j):
+                for idxs in itertools.product(*(range(h.part_sizes[p - 1]) for p in parts)):
+                    sel = [Vertex(p, i) for p, i in zip(parts, idxs)]
+                    counts.append(codegree(h, sel))
+                    assert counts[-1] == reference.codegree(h, sel)
+            if j:
+                assert min_codegree(h, j) == min(counts)
 
 
 def test_balanced_set_normalization():

@@ -24,7 +24,8 @@ from balhyp.indep import (
 )
 from balhyp.models import sample_hknp
 
-from conftest import mixed_instances, oracle_alpha_b
+from conftest import mixed_instances, oracle_alpha_b, product_instances
+import reference
 
 
 def naive_run_ind(h, p, seed_components):
@@ -274,6 +275,19 @@ def test_exact_alpha_b_vs_oracle():
         assert s == oracle_alpha_b(h)
         assert is_balanced_independent(h, witness)
         assert witness.side == s
+
+
+def test_exact_alpha_b_matches_reference():
+    for h in product_instances(43, rounds=3):
+        s, witness = exact_alpha_b(h)
+        assert (s, witness.parts) == reference.exact_alpha_b(h)
+
+
+def test_exact_alpha_b_raises_when_check_fails(monkeypatch):
+    # An explicit check, so it also runs under python -O.
+    monkeypatch.setattr("balhyp.indep.is_balanced_independent", lambda h, a: False)
+    with pytest.raises(RuntimeError, match="witness of side 1 contains an edge"):
+        exact_alpha_b(KPartiteHypergraph([2, 2], [(0, 0)]))
 
 
 def test_exact_alpha_b_budget():

@@ -2,6 +2,7 @@
 
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -217,6 +218,30 @@ def test_max_corank_matches_reference(data):
     edge = st.tuples(*[st.integers(0, sz - 1) for sz in sizes])
     h = KPartiteHypergraph(sizes, data.draw(st.lists(edge, unique=True, max_size=30)))
     assert _max_corank(h) == reference.max_corank(h)
+
+
+def _matched_instance(k, n, p, seed):
+    """H(k, n, p) minus the tuples of a random perfect matching, taken in a
+    random order, with that matching; p = 1 leaves only the matching out."""
+    rng = np.random.default_rng(seed)
+    tuples = list(zip(*(rng.permutation(n).tolist() for _ in range(k))))
+    tuples = [tuples[i] for i in rng.permutation(n)]
+    skip = set(tuples)
+    h = sample_hknp(k, n, p, seed)
+    return KPartiteHypergraph(h.part_sizes, [e for e in h.edges if e not in skip]), tuples
+
+
+def test_color_from_matching_matches_reference():
+    cases = [(k, n, p) for k in (2, 3, 4) for n in (1, 2, 5) for p in (0.0, 0.3, 0.7, 1.0)]
+    cases += [(2, 256, 32 / 256), (3, 256, 32 / 256**2), (2, 128, 0.4)]
+    for seed, (k, n, p) in enumerate(cases):
+        h, tuples = _matched_instance(k, n, p, seed)
+        phi = color_from_matching(h, Matching(edges=tuple(tuples), perfect=True))
+        assert (phi.q, phi.colors) == reference.color_from_matching(h, tuples)
+    h = sample_hknp(3, 6, 0.2, 9)
+    m = find_pm_complement(h, seed=4)
+    phi = color_from_matching(h, m)
+    assert (phi.q, phi.colors) == reference.color_from_matching(h, m.edges)
 
 
 def test_color_from_matching_raises_past_palette_bound():

@@ -16,7 +16,7 @@ from balhyp.models import (
     union_bound_bis,
 )
 
-from conftest import mixed_instances, oracle_exists_bis
+from conftest import mixed_instances, oracle_exists_bis, product_instances
 import reference
 
 
@@ -184,10 +184,22 @@ def test_trim_invariants_random():
         assert out.part_sizes == tuple(sz - t for sz in h.part_sizes)
         assert out.max_degree <= h.max_degree
         # Removed degree >= every surviving degree, per part (pre-removal).
-        for j, part in enumerate(h.incidence):
-            degs = sorted((len(part[i]) for i in range(len(part))), reverse=True)
+        for deg in h.degrees:
+            degs = sorted(deg.tolist(), reverse=True)
             removed_min = degs[t - 1]
             assert all(d <= removed_min for d in degs[t:])
+
+
+def test_trim_top_degree_matches_reference():
+    cases = product_instances(41, rounds=3) + [
+        sample_hknp(2, 64, 0.05, 4),
+        sample_hknp(3, 16, 0.02, 5),
+    ]
+    for h in cases:
+        for t in range(min(h.part_sizes)):
+            out = trim_top_degree(h, t)
+            sizes, edges, _ = reference.induced(h, reference.trim_top_degree(h, t))
+            assert (out.part_sizes, out.edges) == (sizes, edges)
 
 
 def test_union_bound_trivial():
@@ -242,6 +254,12 @@ def test_exists_vs_oracle():
     for h in mixed_instances(33, 14):
         for s in range(min(h.part_sizes) + 1):
             assert exists_balanced_is(h, s) == oracle_exists_bis(h, s)
+
+
+def test_exists_matches_reference():
+    for h in product_instances(42, rounds=3):
+        for s in range(max(h.part_sizes) + 2):
+            assert exists_balanced_is(h, s) == reference.exists_balanced_is(h, s)
 
 
 def test_exists_too_large_for_side():
