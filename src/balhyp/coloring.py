@@ -8,6 +8,7 @@ meet the uncolored part-k pool.  The leftover vertices induce a residual
 hypergraph that is finished off with the matching-based colorer on a fresh
 palette.  High-probability events from the analysis become runtime checks
 with retry; a whole-instance matching fallback guards the worst case.
+Every coloring returned, from either path, passes one output check.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "col_random_phase",
     "rebalance",
     "residual",
+    "accepts",
     "full_coloring",
 ]
 
@@ -260,22 +262,35 @@ def residual(h: KPartiteHypergraph, state: PhaseState):
     return induced(h, [np.flatnonzero(a == 0) for a in state.phi.color_arrays])
 
 
+def accepts(state: PhaseState, params: ColParams, h_res: KPartiteHypergraph) -> bool:
+    """The acceptance rule for a rebalanced attempt with residual `h_res`:
+    no class was clamped, and the residual's max degree is at most
+    delta_tilde_eff and at most half the residual part size."""
+    d = h_res.max_degree
+    return not state.clamped and d <= params.delta_tilde_eff and d <= h_res.part_sizes[0] / 2
+
+
 def full_coloring(
     h: KPartiteHypergraph,
     epsilon: float,
     seed: SeedLike = 0,
     max_retries: int = 16,
-    matching_budget: int = 10**4,
 ):
     """Total balanced coloring of an n-balanced hypergraph, with a report.
 
     Each attempt r runs the random phase on stream seed+(r, 0), rebalances,
-    and is accepted when no clamping occurred and the residual max degree
-    is at most delta_tilde_eff and at most half the residual part size;
-    the residual is then colored by the matching fallback on stream
-    seed+(r, 1) with palette offset q.  If no attempt is accepted the whole
-    instance goes to the matching fallback on stream seed+(max_retries, 1).
-    Edgeless input short-circuits to the single-color answer.
+    and is judged by `accepts`; a clamped attempt is rejected before its
+    residual is built.  The residual of the first accepted attempt is
+    colored by the matching fallback on stream seed+(r, 1) with palette
+    offset q.  If the parameter ledger rejects the instance or no attempt
+    is accepted, the whole instance goes to the matching fallback on
+    stream seed+(max_retries, 1).  Edgeless input short-circuits to the
+    single-color answer.
+
+    Every path ends in one output check: the coloring must be total,
+    proper and balanced, and use at most q + k*Delta_res + 1 colors
+    (main path) or k*Delta + 1 (fallback and edgeless); a failure raises
+    RuntimeError.
 
     Returns (coloring, report); the report records palette, q,
     delta_tilde_eff, retries_used, path ("main" or "fallback"), validator
@@ -286,13 +301,12 @@ def full_coloring(
     n = h.part_sizes[0]
     k = h.k
     base = as_stream(seed)
-    advisories = []
     delta_h = h.max_degree
     if delta_h == 0:
         phi = PartialColoring(1, [np.ones(n, dtype=np.intp) for _ in range(k)])
-        report = _report(h, phi, q=1, eff=0, retries_used=0, path="main",
-                         advisories=["edgeless instance: single color"])
-        return phi, report
+        return phi, _report(h, phi, 1, q=1, eff=0, retries_used=0, path="main",
+                            advisories=["edgeless instance: single color"])
+    advisories = []
     ledger_delta = float(delta_h)
     if delta_h < 3:
         ledger_delta = 3.0
@@ -303,78 +317,65 @@ def full_coloring(
         params = col_params(k, epsilon, ledger_delta, n)
     except RegimeError as exc:
         advisories.append(f"parameter regime rejected ({exc}); using matching fallback")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            phi = fallback_coloring(h, seed=base + (max_retries, 1), budget=matching_budget)
-        _check_palette(phi, k * delta_h + 1, "fallback")
-        return phi, _report(h, phi, q=0, eff=0, retries_used=0, path="fallback",
-                            advisories=advisories)
-    advisories.extend(params.advisories)
-    q = params.q
-    for r in range(max_retries):
-        state = col_random_phase(h, q, base + (r, 0))
-        state = rebalance(state, params)
-        h_phi, remap = residual(h, state)
-        n_res = h_phi.part_sizes[0]
-        if state.clamped or h_phi.max_degree > params.delta_tilde_eff:
-            continue
-        if h_phi.max_degree > n_res / 2:
-            continue
-        if n_res == 0:  # unreachable with omega > 0; kept for safety
-            merged = state.phi
-        else:
-            sub_phi = fallback_coloring(
-                h_phi, seed=base + (r, 1), budget=matching_budget
-            )
+        q = eff = retries_used = 0
+    else:
+        advisories.extend(params.advisories)
+        q, eff, retries_used = params.q, params.delta_tilde_eff, max_retries
+        for r in range(max_retries):
+            state = rebalance(col_random_phase(h, q, base + (r, 0)), params)
+            if state.clamped:
+                continue  # `accepts` rejects it whatever the residual
+            h_phi, remap = residual(h, state)
+            if not accepts(state, params, h_phi):
+                continue
+            # accepted: n_res >= n - q*n_c >= 2*omega*n > 0
+            sub_phi = fallback_coloring(h_phi, seed=base + (r, 1))
             colors = [np.array(a) for a in state.phi.color_arrays]
             for j in range(k):
                 colors[j][np.array(remap[j], dtype=np.intp)] = q + sub_phi.color_arrays[j]
             merged = PartialColoring(q + sub_phi.q, colors)
-        if not merged.is_total():
-            raise RuntimeError("merged coloring leaves a vertex uncolored")
-        if not is_proper_balanced_coloring(h, merged):
-            raise RuntimeError("merged coloring is not a proper balanced coloring")
-        _check_palette(merged, q + k * h_phi.max_degree + 1, "main")
-        report = _report(
-            h, merged, q=q, eff=params.delta_tilde_eff, retries_used=r + 1,
-            path="main", advisories=advisories,
-            extra={"n_c": state.n_c, "residual_delta": h_phi.max_degree,
-                   "residual_n": n_res, "good_shortage": state.good_shortage},
-        )
-        return merged, report
-    advisories.append(f"no attempt accepted in {max_retries} tries; using matching fallback")
+            return merged, _report(
+                h, merged, q + k * h_phi.max_degree + 1, q=q, eff=eff,
+                retries_used=r + 1, path="main", advisories=advisories,
+                extra={"n_c": state.n_c, "residual_delta": h_phi.max_degree,
+                       "residual_n": h_phi.part_sizes[0],
+                       "good_shortage": state.good_shortage},
+            )
+        advisories.append(f"no attempt accepted in {max_retries} tries; using matching fallback")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        phi = fallback_coloring(h, seed=base + (max_retries, 1), budget=matching_budget)
-    _check_palette(phi, k * delta_h + 1, "fallback")
-    return phi, _report(h, phi, q=q, eff=params.delta_tilde_eff,
-                        retries_used=max_retries, path="fallback",
-                        advisories=advisories)
+        phi = fallback_coloring(h, seed=base + (max_retries, 1))
+    return phi, _report(h, phi, k * delta_h + 1, q=q, eff=eff, retries_used=retries_used,
+                        path="fallback", advisories=advisories)
 
 
-def _check_palette(phi: PartialColoring, bound: int, path: str) -> None:
-    used = len(phi.colors_used())
-    if used > bound:
-        raise RuntimeError(f"{path} path used {used} colors, bound {bound}")
-
-
-def _report(h, phi, q, eff, retries_used, path, advisories, extra=None):
+def _report(h, phi, bound, q, eff, retries_used, path, advisories, extra=None):
+    """The report of a finished coloring, which is also its output check:
+    a failed validator verdict or more than `bound` colors raises
+    RuntimeError."""
+    validator = {
+        "total": phi.is_total(),
+        "proper": is_proper_on_colored(h, phi),
+        "balanced": is_proper_balanced_coloring(h, phi),
+    }
+    for verdict, failure in (("total", "leaves a vertex uncolored"),
+                             ("proper", "has a monochromatic edge"),
+                             ("balanced", "is not a proper balanced coloring")):
+        if not validator[verdict]:
+            raise RuntimeError(f"{path} path coloring {failure}")
     used = phi.colors_used()
+    if len(used) > bound:
+        raise RuntimeError(f"{path} path used {len(used)} colors, bound {bound}")
     top = used[-1] + 1 if used else 1
     counts = [np.bincount(a, minlength=top).tolist() for a in phi.color_arrays]
-    per_class = {c: [cnt[c] for cnt in counts] for c in used}
     report = {
         "palette": len(used),
         "q": q,
         "delta_tilde_eff": eff,
         "retries_used": retries_used,
         "path": path,
-        "validator": {
-            "total": phi.is_total(),
-            "proper": is_proper_on_colored(h, phi),
-            "balanced": is_proper_balanced_coloring(h, phi),
-        },
-        "per_class_sizes": per_class,
+        "validator": validator,
+        "per_class_sizes": {c: [cnt[c] for cnt in counts] for c in used},
         "advisories": list(advisories),
     }
     if extra:

@@ -104,11 +104,18 @@ class KPartiteHypergraph:
 
     @cached_property
     def max_degree(self) -> int:
-        """Largest vertex degree, counted from the edge array's columns."""
+        """Largest vertex degree: the longest run of equal values in a sorted
+        edge-array column.  Nothing is allocated per vertex, so part sizes
+        may be huge."""
         e = self.edge_array
         if not len(e):
             return 0
-        return max(max_repeat(e[:, [j]]) for j in range(self.k))
+        best = 0
+        for col in e.T:
+            s = np.sort(col)
+            starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1], [True])))
+            best = max(best, int(np.diff(starts).max()))
+        return best
 
     def __eq__(self, other) -> bool:
         return (
@@ -133,17 +140,6 @@ class KPartiteHypergraph:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def max_repeat(rows: np.ndarray) -> int:
-    """Largest number of equal rows in a non-empty (m, w) integer array.
-
-    Sorts the rows and measures runs, so nothing is allocated per value
-    of the index range.
-    """
-    s = rows[np.lexsort(rows.T)] if rows.shape[1] else rows
-    starts = np.flatnonzero(np.concatenate(([True], (s[1:] != s[:-1]).any(axis=1), [True])))
-    return int(np.diff(starts).max())
 
 
 def _int_array(values: Iterable) -> np.ndarray:

@@ -26,14 +26,14 @@ import itertools
 import json
 import math
 import os
-import time
 from dataclasses import dataclass
 from io import StringIO
+from time import perf_counter
 from typing import Optional
 
 import numpy as np
 
-from balhyp.coloring import col_params, col_random_phase, rebalance, residual
+from balhyp.coloring import accepts, col_params, col_random_phase, rebalance, residual
 from balhyp.indep import ind_params, run_ind
 from balhyp.models import exists_balanced_is, sample_hknp, union_bound_bis
 
@@ -150,6 +150,16 @@ def _mean_se(values) -> tuple:
     return mean, math.sqrt(var / T)
 
 
+def _run_trials(one, trials: int) -> tuple:
+    """(rows, times): row t is one(t), times[t] its wall time in seconds."""
+    stamps = [perf_counter()]
+    rows = []
+    for t in range(trials):
+        rows.append(one(t))
+        stamps.append(perf_counter())
+    return rows, [b - a for a, b in zip(stamps, stamps[1:])]
+
+
 def _run_cell_bis(cell, ci, spec):
     k, n, D, eps = cell["k"], cell["n"], cell["D"], cell["eps"]
     p_edge = min(D / n ** (k - 1), 1.0)
@@ -163,7 +173,7 @@ def _run_cell_bis(cell, ci, spec):
             "side": out.side,
         }
 
-    rows = [one(t) for t in range(spec.trials)]
+    rows, times = _run_trials(one, spec.trials)
     T = spec.trials
     summaries = []
     sizes = [[int(s) for s in r["part_sizes"].split(";")] for r in rows]
@@ -181,7 +191,7 @@ def _run_cell_bis(cell, ci, spec):
     summaries.append(
         ("survivor_mean_lower", mean_k, harris - 3 * se_k, mean_k >= harris - 3 * se_k)
     )
-    return rows, summaries
+    return rows, times, summaries
 
 
 def _run_cell_bound(cell, ci, spec):
@@ -191,12 +201,12 @@ def _run_cell_bound(cell, ci, spec):
         h = sample_hknp(k, N, p, (spec.seed, ci, t + 1))
         return {"exists": int(exists_balanced_is(h, s))}
 
-    rows = [one(t) for t in range(spec.trials)]
+    rows, times = _run_trials(one, spec.trials)
     T = spec.trials
     freq = sum(r["exists"] for r in rows) / T
     bound = union_bound_bis(k, N, s, p)
     rhs = bound + 3 * _freq_se(freq, T)
-    return rows, [("union_bound", freq, rhs, freq <= rhs)]
+    return rows, times, [("union_bound", freq, rhs, freq <= rhs)]
 
 
 def _run_cell_concentration(cell, ci, spec):
@@ -221,7 +231,7 @@ def _run_cell_concentration(cell, ci, spec):
             "probe_empty": int(len(lst) == 0),
         }
 
-    rows = [one(t) for t in range(spec.trials)]
+    rows, times = _run_trials(one, spec.trials)
     T = spec.trials
     summaries = []
     mean = sum(r["v1c1_size"] for r in rows) / T
@@ -241,7 +251,7 @@ def _run_cell_concentration(cell, ci, spec):
     prod = math.prod(ban_freq)
     empty_rhs = prod + 3 * _freq_se(empty_freq, T)
     summaries.append(("empty_list_product", empty_freq, empty_rhs, empty_freq <= empty_rhs))
-    return rows, summaries
+    return rows, times, summaries
 
 
 def _run_cell_color(cell, ci, spec):
@@ -256,12 +266,6 @@ def _run_cell_color(cell, ci, spec):
         sizes = [len(v) for v in classes.values()]
         st2 = rebalance(st, params)
         h_phi, _ = residual(h, st2)
-        n_res = h_phi.part_sizes[0]
-        accepted = (
-            not st2.clamped
-            and h_phi.max_degree <= params.delta_tilde_eff
-            and h_phi.max_degree <= n_res / 2
-        )
         return {
             "u_k_size": len(st.u_k),
             "n_c": st2.n_c,
@@ -270,15 +274,15 @@ def _run_cell_color(cell, ci, spec):
             "residual_delta": h_phi.max_degree,
             "min_class": min(sizes),
             "max_class": max(sizes),
-            "accepted": int(accepted),
+            "accepted": int(accepts(st2, params, h_phi)),
         }
 
-    rows = [one(t) for t in range(spec.trials)]
+    rows, times = _run_trials(one, spec.trials)
     T = spec.trials
     mean_uk, se_uk = _mean_se([r["u_k_size"] for r in rows])
     clamp_rate = sum(r["clamped"] for r in rows) / T
     accept_rate = sum(r["accepted"] for r in rows) / T
-    return rows, [
+    return rows, times, [
         ("mean_u_k_vs_delta_n", mean_uk, params.delta * n, None),
         ("clamp_rate", clamp_rate, 0.0, None),
         ("accept_rate", accept_rate, 0.0, None),
@@ -315,9 +319,7 @@ def run_experiment(
     records: list = []
     summary_rows: list = []
     for ci, cell in enumerate(spec.cells):
-        start = time.perf_counter()
-        rows, summaries = runner(cell, ci, spec)
-        elapsed = time.perf_counter() - start
+        rows, times, summaries = runner(cell, ci, spec)
         for t, fields in enumerate(rows):
             records.append(
                 TrialRecord(
@@ -326,7 +328,7 @@ def run_experiment(
                     trial=t,
                     stream=(spec.seed, ci, t + 1),
                     fields=fields,
-                    wall_time=elapsed / len(rows),
+                    wall_time=times[t],
                 )
             )
         echo = _cell_echo(cell)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from balhyp.core import KPartiteHypergraph, PartialColoring, max_repeat
+from balhyp.core import KPartiteHypergraph, PartialColoring
 from balhyp.errors import BudgetExceededError
 from balhyp.rng import SeedLike, rng_for
 
@@ -62,14 +62,6 @@ def matching_violations(h: KPartiteHypergraph, m: Matching) -> tuple:
     return tuple(bad)
 
 
-def _max_corank(h: KPartiteHypergraph) -> int:
-    """Largest codegree of a (k-1)-selection, over selections hit by edges."""
-    e = h.edge_array
-    if not len(e):
-        return 0
-    return max(max_repeat(np.delete(e, drop, axis=1)) for drop in range(h.k))
-
-
 def _completion_exists(h, prefix: list, j: int, uncovered: list) -> bool:
     """Can `prefix` (parts 1..j) extend to a full non-edge of `h` using
     uncovered vertices of parts j+1..k?"""
@@ -91,11 +83,13 @@ def find_pm_complement(
 
     Each restart walks the uncovered part-1 vertices in index order and
     extends part by part, picking uniformly among uncovered vertices that
-    still admit a non-edge completion (realized as first-feasible on a
-    random permutation).  A stuck walk releases up to two random matched
-    tuples before the attempt is abandoned; `budget` bounds the restarts.
-    Failure raises rather than returning a partial answer; it does not
-    disprove existence.
+    still admit a non-edge completion by uncovered vertices of the later
+    parts (realized as first-feasible on a random permutation).  A stuck
+    walk releases up to two random matched tuples before the attempt is
+    abandoned; `budget` bounds the restarts.  Failure raises rather than
+    returning a partial answer; it does not disprove existence.  Restart
+    r draws from stream seed+(r,): one permutation per extension step and
+    one integer per release.
     """
     if not h.n_balanced:
         raise ValueError(f"part sizes {h.part_sizes} are not all equal")
@@ -103,13 +97,6 @@ def find_pm_complement(
     k = h.k
     if n == 0:
         return Matching(edges=(), perfect=True)
-    delta_c = n - _max_corank(h)
-    if delta_c < n - h.max_degree:
-        warnings.warn(
-            f"complement min codegree {delta_c} below n - Delta = "
-            f"{n - h.max_degree}; instance is outside the sane regime",
-            stacklevel=2,
-        )
     other = n ** (k - 1)
     for j, col in enumerate(h.edge_array.T):
         full = np.flatnonzero(np.bincount(col, minlength=n) == other)
@@ -120,30 +107,21 @@ def find_pm_complement(
             )
     for attempt in range(budget):
         rng = rng_for(seed, attempt)
-        uncovered = [sorted(range(n)) for _ in range(k)]
+        uncovered = [list(range(n)) for _ in range(k)]
         matched: list = []
         repairs = 0
         failed = False
         while uncovered[0]:
-            v1 = uncovered[0][0]
-            prefix = [v1]
-            pools = [None] + [list(uncovered[j]) for j in range(1, k)]
+            prefix = [uncovered[0][0]]
             ok = True
             for j in range(1, k):
-                found = None
-                order = rng.permutation(len(pools[j]))
-                for pos in order:
-                    u = pools[j][pos]
-                    rest = [None] * (j + 1) + [
-                        [x for x in uncovered[jj] if x not in prefix]
-                        for jj in range(j + 1, k)
-                    ]
-                    prefix.append(u)
-                    if _completion_exists(h, prefix, j + 1, rest):
-                        found = u
+                pool = uncovered[j]
+                for pos in rng.permutation(len(pool)):
+                    prefix.append(pool[pos])
+                    if _completion_exists(h, prefix, j + 1, uncovered):
                         break
                     prefix.pop()
-                if found is None:
+                else:
                     ok = False
                     break
             if ok:

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 
 from balhyp.core import BalancedSet, KPartiteHypergraph
-from balhyp.errors import KhgParseError
+from balhyp.errors import BudgetExceededError, KhgParseError
 from balhyp.rng import rng_for
 
 
@@ -152,16 +152,6 @@ def max_degree(h):
     if not h.edges:
         return 0
     return max(len(lst) for part in incidence(h) for lst in part)
-
-
-def max_corank(h):
-    if not h.edges:
-        return 0
-    best = 0
-    for drop in range(h.k):
-        proj = Counter(e[:drop] + e[drop + 1 :] for e in h.edges)
-        best = max(best, max(proj.values()))
-    return best
 
 
 def is_proper_on_colored(h, colors):
@@ -384,3 +374,79 @@ def color_from_matching(h, tuples):
             color[j][idx] = c
         highest = max(highest, c)
     return max(highest, 1), tuple(tuple(part) for part in color)
+
+
+def _completion_exists(edge_set, k, prefix, j, uncovered):
+    if j == k:
+        return tuple(prefix) not in edge_set
+    for u in uncovered[j]:
+        prefix.append(u)
+        if _completion_exists(edge_set, k, prefix, j + 1, uncovered):
+            prefix.pop()
+            return True
+        prefix.pop()
+    return False
+
+
+def find_pm_complement(h, seed=0, budget=10**4):
+    """The greedy complement matching walk as the library ran it, with the
+    completion search fixed to read the uncovered vertices of the later
+    parts as they are (it used to drop those whose index equals an earlier
+    pick's).  Returns the matched tuples or raises BudgetExceededError."""
+    n = h.part_sizes[0]
+    k = h.k
+    if n == 0:
+        return ()
+    edge_set = set(h.edges)
+    for j in range(k):
+        deg = Counter(e[j] for e in h.edges)
+        full = [v for v in range(n) if deg[v] == n ** (k - 1)]
+        if full:
+            raise BudgetExceededError(
+                f"part {j + 1} vertex {full[0]} has no complement edge; "
+                f"no perfect matching exists"
+            )
+    for attempt in range(budget):
+        rng = rng_for(seed, attempt)
+        uncovered = [sorted(range(n)) for _ in range(k)]
+        matched = []
+        repairs = 0
+        failed = False
+        while uncovered[0]:
+            v1 = uncovered[0][0]
+            prefix = [v1]
+            pools = [None] + [list(uncovered[j]) for j in range(1, k)]
+            ok = True
+            for j in range(1, k):
+                found = None
+                order = rng.permutation(len(pools[j]))
+                rest = [None] * (j + 1) + [uncovered[jj] for jj in range(j + 1, k)]
+                for pos in order:
+                    u = pools[j][pos]
+                    prefix.append(u)
+                    if _completion_exists(edge_set, k, prefix, j + 1, rest):
+                        found = u
+                        break
+                    prefix.pop()
+                if found is None:
+                    ok = False
+                    break
+            if ok:
+                t = tuple(prefix)
+                matched.append(t)
+                for j in range(k):
+                    uncovered[j].remove(t[j])
+            elif repairs < 2 and matched:
+                victim = matched.pop(int(rng.integers(0, len(matched))))
+                for j in range(k):
+                    uncovered[j].append(victim[j])
+                    uncovered[j].sort()
+                repairs += 1
+            else:
+                failed = True
+                break
+        if not failed:
+            return tuple(matched)
+    raise BudgetExceededError(
+        f"no perfect matching found in {budget} restarts (existence not disproved)"
+    )

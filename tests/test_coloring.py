@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import balhyp.coloring
 from balhyp.coloring import (
     PhaseState,
+    accepts,
     col_params,
     col_random_phase,
     full_coloring,
@@ -441,3 +442,54 @@ def test_full_coloring_fallback_bound_raises(monkeypatch, route):
         warnings.simplefilter("ignore")
         with pytest.raises(RuntimeError, match="fallback path used 999 colors"):
             full_coloring(h, 0.2, seed=0, max_retries=retries)
+
+
+@pytest.mark.parametrize("route", ["edgeless", "regime_rejected", "no_attempt_accepted"])
+def test_full_coloring_fallback_verdict_raises(monkeypatch, route):
+    if route == "edgeless":
+        h, retries = KPartiteHypergraph([3, 3], []), 16
+    elif route == "regime_rejected":
+        h, retries = KPartiteHypergraph([2, 2], [(0, 0)]), 16  # n=2 below q
+    else:
+        h, retries = _main_path_instance(), 0
+    monkeypatch.setattr(balhyp.coloring, "is_proper_balanced_coloring", lambda *a, **kw: False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(RuntimeError, match="path coloring is not a proper balanced coloring"):
+            full_coloring(h, 0.2, seed=0, max_retries=retries)
+
+
+# --- one acceptance rule, applied before the residual is built ---------------
+
+
+def test_clamped_attempts_build_no_residual(monkeypatch):
+    h = sample_hknp(2, 64, 8 / 64, 5)
+    clamped, built = [], []
+
+    def spy_rebalance(state, params):
+        out = rebalance(state, params)
+        clamped.append(out.clamped)
+        return out
+
+    monkeypatch.setattr(balhyp.coloring, "rebalance", spy_rebalance)
+    monkeypatch.setattr(balhyp.coloring, "residual", lambda *a: built.append(a) or residual(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, report = full_coloring(h, 0.2, seed=0)
+    assert clamped == [True] * 16
+    assert built == []
+    assert (report["path"], report["retries_used"]) == ("fallback", 16)
+
+
+def test_accepts_is_the_stated_rule():
+    h = sample_hknp(2, 30, 1.5 / 30, (1, 0, 0))
+    params = quiet_col_params(2, 0.2, max(h.max_degree, 3), 30)
+    verdicts = set()
+    for t in range(20):
+        state = rebalance(col_random_phase(h, params.q, (1, 0, t + 1)), params)
+        h_res, _ = residual(h, state)
+        d, n_res = h_res.max_degree, h_res.part_sizes[0]
+        want = not state.clamped and d <= params.delta_tilde_eff and 2 * d <= n_res
+        assert accepts(state, params, h_res) == want
+        verdicts.add((state.clamped, want))
+    assert verdicts == {(True, False), (False, False), (False, True)}

@@ -7,10 +7,13 @@ from io import StringIO
 
 import pytest
 
+import balhyp.experiments
+from balhyp.coloring import accepts, col_params, col_random_phase, rebalance, residual
 from balhyp.experiments import (
     ExperimentSpec,
     run_experiment,
 )
+from balhyp.models import sample_hknp
 
 
 def spec_of(mode, cells, trials, seed):
@@ -193,6 +196,36 @@ def test_timing_column_opt_in(tmp_path):
     run_experiment(spec, out_prefix=str(tmp_path / "q"), timing=True)
     header = (tmp_path / "q.trials.csv").read_text().splitlines()[1]
     assert header.endswith(",wall_time")
+
+
+def test_timing_is_per_trial(monkeypatch, tmp_path):
+    # a fake clock on which trial t takes t + 1 units
+    ticks = iter(t * (t + 1) // 2 for t in range(10**3))
+    monkeypatch.setattr(balhyp.experiments, "perf_counter", lambda: next(ticks))
+    spec = spec_of("bound", [{"k": 2, "N": 4, "s": 1, "p": 0.3}], 4, 1)
+    records, _ = run_experiment(spec, out_prefix=str(tmp_path / "p"), timing=True)
+    assert [r.wall_time for r in records] == [1, 2, 3, 4]
+    rows = (tmp_path / "p.trials.csv").read_text().splitlines()[2:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["1", "2", "3", "4"]
+
+
+@pytest.mark.filterwarnings("ignore:delta_tilde")
+def test_color_accepted_column_is_the_shared_rule(monkeypatch):
+    cell = {"k": 2, "n": 30, "Delta": 1.5, "eps": 0.2}
+    spec = spec_of("color", [cell], 20, 1)
+    records, _ = run_experiment(spec)
+    h = sample_hknp(2, 30, 1.5 / 30, (1, 0, 0))
+    params = col_params(2, 0.2, max(h.max_degree, 3), 30)
+    want = []
+    for t in range(20):
+        state = rebalance(col_random_phase(h, params.q, (1, 0, t + 1)), params)
+        want.append(int(accepts(state, params, residual(h, state)[0])))
+    assert [r.fields["accepted"] for r in records] == want
+    assert set(want) == {0, 1}
+    # the column follows the rule that `full_coloring` uses, whatever it says
+    monkeypatch.setattr(balhyp.experiments, "accepts", lambda state, p, h_res: state.n_c % 2)
+    records, _ = run_experiment(spec)
+    assert [r.fields["accepted"] for r in records] == [r.fields["n_c"] % 2 for r in records]
 
 
 def test_stream_derivation_stable_across_added_cells():

@@ -1,9 +1,12 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import balhyp
+import balhyp.coloring
 
 
 def test_no_assert_statements():
@@ -15,3 +18,23 @@ def test_no_assert_statements():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_bench_tracer_finds_every_layer():
+    # a refactor that drops or renames a traced layer fails here, not in
+    # every benchmark run's self-test
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod in sorted(Path(balhyp.__file__).parent.glob("[!_]*.py")):
+        importlib.import_module(f"balhyp.{mod.stem}")
+    residual = balhyp.coloring.residual
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+        assert balhyp.coloring.residual is not residual
+    finally:
+        tracer.uninstall()
+    assert balhyp.coloring.residual is residual
