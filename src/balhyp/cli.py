@@ -132,6 +132,8 @@ def cmd_fallback(args) -> int:
         warnings.simplefilter("ignore")
         phi = fallback_coloring(h, seed=args.seed, budget=args.budget)
     verdict = is_proper_balanced_coloring(h, phi)
+    if not verdict:
+        raise RuntimeError("fallback coloring is not a proper balanced coloring")
     payload = {
         "colors": [list(part) for part in phi.colors],
         "palette": len(phi.colors_used()),

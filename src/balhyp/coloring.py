@@ -36,6 +36,7 @@ __all__ = [
     "PhaseState",
     "col_params",
     "col_random_phase",
+    "is_clamped",
     "rebalance",
     "residual",
     "accepts",
@@ -202,6 +203,16 @@ def col_random_phase(h: KPartiteHypergraph, q: int, seed: SeedLike) -> PhaseStat
     return PhaseState(h=h, phi=phi, q=q, lists_k=lists_k, u_k=u_k)
 
 
+def is_clamped(state: PhaseState, params) -> bool:
+    """Whether `rebalance` clamps n_c: some part's smallest class after
+    the random phase is below params.n_c.  Rebalancing draws nothing, so
+    this settles the `clamped` flag before it runs."""
+    return any(
+        np.bincount(a, minlength=state.q + 1)[1:].min() < params.n_c
+        for a in state.phi.color_arrays
+    )
+
+
 def rebalance(state: PhaseState, params) -> PhaseState:
     """Steps three and four: trim every class to a common size n_c.
 
@@ -216,8 +227,8 @@ def rebalance(state: PhaseState, params) -> PhaseState:
     q, k = state.q, h.k
     colors = [np.array(a) for a in state.phi.color_arrays]
     counts = [np.bincount(a, minlength=q + 1) for a in colors]
-    n_c = min([params.n_c] + [int(cnt[1:].min()) for cnt in counts])
-    clamped = n_c < params.n_c
+    clamped = is_clamped(state, params)
+    n_c = min(int(cnt[1:].min()) for cnt in counts) if clamped else params.n_c
     _uncolor_lowest(colors[k - 1], counts[k - 1], n_c, np.zeros(len(colors[k - 1]), dtype=bool))
     u_k_prime = tuple(np.flatnonzero(colors[k - 1] == 0).tolist())
     e = h.edge_array
@@ -279,12 +290,12 @@ def full_coloring(
     """Total balanced coloring of an n-balanced hypergraph, with a report.
 
     Each attempt r runs the random phase on stream seed+(r, 0), rebalances,
-    and is judged by `accepts`; a clamped attempt is rejected before its
-    residual is built.  The residual of the first accepted attempt is
-    colored by the matching fallback on stream seed+(r, 1) with palette
-    offset q.  If the parameter ledger rejects the instance or no attempt
-    is accepted, the whole instance goes to the matching fallback on
-    stream seed+(max_retries, 1).  Edgeless input short-circuits to the
+    and is judged by `accepts`; a clamped attempt (`is_clamped`) is
+    rejected before it is rebalanced.  The residual of the first accepted
+    attempt is colored by the matching fallback on stream seed+(r, 1) with
+    palette offset q.  If the parameter ledger rejects the instance or no
+    attempt is accepted, the whole instance goes to the matching fallback
+    on stream seed+(max_retries, 1).  Edgeless input short-circuits to the
     single-color answer.
 
     Every path ends in one output check: the coloring must be total,
@@ -322,9 +333,10 @@ def full_coloring(
         advisories.extend(params.advisories)
         q, eff, retries_used = params.q, params.delta_tilde_eff, max_retries
         for r in range(max_retries):
-            state = rebalance(col_random_phase(h, q, base + (r, 0)), params)
-            if state.clamped:
+            state = col_random_phase(h, q, base + (r, 0))
+            if is_clamped(state, params):
                 continue  # `accepts` rejects it whatever the residual
+            state = rebalance(state, params)
             h_phi, remap = residual(h, state)
             if not accepts(state, params, h_phi):
                 continue

@@ -9,6 +9,7 @@ most k*Delta(H) + 1 colors when every part has n vertices.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,42 +39,97 @@ class Matching:
 
 def matching_violations(h: KPartiteHypergraph, m: Matching) -> tuple:
     """Violations of `m` read as a matching in the complement of `h`:
-    host edges, repeated vertices, or (when perfect) uncovered vertices."""
+    host edges, repeated vertices, or (when perfect) uncovered vertices.
+
+    Per tuple, in tuple order: a tuple of the wrong arity gets only that
+    message; otherwise "edge of the host" if it is one, then per part an
+    out-of-range index or a vertex an earlier tuple already covers.  The
+    uncovered counts per part come last.
+    """
+    return _check_matching(h, m)[0]
+
+
+def _check_matching(h: KPartiteHypergraph, m: Matching) -> tuple:
+    """(violations, owner) for `matching_violations` and the colorer.
+
+    owner[i, j] is the position among the arity-k tuples of the first
+    tuple that covers the part-(j+1) end of host edge i, or -1.  A host
+    edge whose owner entries are all one tuple's is that tuple, which
+    settles every tuple that is the first to cover each of its vertices;
+    the others, those that repeat a vertex, are looked up by row key.
+    """
+    k = h.k
+    lens = np.fromiter(map(len, m.edges), dtype=np.intp, count=len(m.edges))
+    pos = np.flatnonzero(lens == k)
+    rows = [m.edges[i] for i in pos.tolist()]
+    try:
+        rows = np.array(rows, dtype=np.intp).reshape(len(pos), k)
+    except OverflowError:
+        rows = np.array(rows, dtype=object).reshape(len(pos), k)
+    out = (rows < 0) | (rows >= np.array(h.part_sizes))
+    twice = np.zeros(rows.shape, dtype=bool)
+    e = h.edge_array
+    owner = np.empty(e.shape, dtype=np.intp)
+    covered = []
+    for j, sz in enumerate(h.part_sizes):
+        inside = np.flatnonzero(~out[:, j])
+        verts, first = np.unique(rows[inside, j].astype(np.intp), return_index=True)
+        cover = inside[first]  # the first tuple through each covered vertex
+        twice[inside, j] = True
+        twice[cover, j] = False
+        covered.append(len(verts))
+        at = np.searchsorted(verts, e[:, j])
+        verts, cover = np.append(verts, -1), np.append(cover, -1)
+        owner[:, j] = np.where(verts[at] == e[:, j], cover[at], -1)
+    host = np.zeros(len(rows), dtype=bool)
+    whole = (owner == owner[:, :1]).all(axis=1) & (owner[:, 0] >= 0)
+    host[owner[whole, 0]] = True
+    repeats = np.flatnonzero(twice.any(axis=1) & ~out.any(axis=1))
+    if len(repeats):
+        base = max(h.part_sizes)
+        host[repeats] = np.isin(_keys(rows[repeats].astype(np.intp), base), _keys(e, base))
     bad = []
-    seen = [set() for _ in range(h.k)]
-    for t in m.edges:
-        if len(t) != h.k:
+    flagged = lens != k
+    flagged[pos] = host | out.any(axis=1) | twice.any(axis=1)
+    row_of = np.full(len(lens), -1)
+    row_of[pos] = np.arange(len(pos))
+    for i in np.flatnonzero(flagged).tolist():
+        t, r = m.edges[i], row_of[i]
+        if r < 0:
             bad.append(f"tuple {t} has arity {len(t)}")
             continue
-        if t in h.edge_set:
+        if host[r]:
             bad.append(f"tuple {t} is an edge of the host")
-        for j, idx in enumerate(t):
-            if not 0 <= idx < h.part_sizes[j]:
-                bad.append(f"tuple {t}: index {idx} out of range in part {j + 1}")
-            elif idx in seen[j]:
-                bad.append(f"part {j + 1} vertex {idx} covered twice")
-            else:
-                seen[j].add(idx)
+        for j in range(k):
+            if out[r, j]:
+                bad.append(f"tuple {t}: index {t[j]} out of range in part {j + 1}")
+            elif twice[r, j]:
+                bad.append(f"part {j + 1} vertex {t[j]} covered twice")
     if m.perfect:
         for j, sz in enumerate(h.part_sizes):
-            missing = sz - len(seen[j])
-            if missing:
-                bad.append(f"part {j + 1}: {missing} vertices uncovered")
-    return tuple(bad)
+            if sz - covered[j]:
+                bad.append(f"part {j + 1}: {sz - covered[j]} vertices uncovered")
+    return tuple(bad), owner
 
 
-def _completion_exists(h, prefix: list, j: int, uncovered: list) -> bool:
-    """Can `prefix` (parts 1..j) extend to a full non-edge of `h` using
-    uncovered vertices of parts j+1..k?"""
-    if j == h.k:
-        return tuple(prefix) not in h.edge_set
-    for u in uncovered[j]:
-        prefix.append(u)
-        if _completion_exists(h, prefix, j + 1, uncovered):
-            prefix.pop()
-            return True
-        prefix.pop()
-    return False
+def _keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row as one integer, big-endian in base n: intp when n^width
+    fits, Python ints (object dtype) otherwise."""
+    dtype = np.intp if n ** rows.shape[1] <= np.iinfo(np.intp).max else object
+    keys = np.zeros(len(rows), dtype=dtype)
+    for col in rows.T:
+        keys = keys * n + col.astype(dtype)
+    return keys
+
+
+def _completes(near: set, key: int, j: int, uncovered: list, n: int, k: int) -> bool:
+    """Does a prefix through part j, whose slots 2..j have tail key `key`,
+    extend to a non-edge by uncovered vertices of parts j+1..k?  `near`
+    holds the tail keys of the host edges through its part-1 vertex."""
+    if j == k:
+        return key not in near
+    key *= n
+    return any(_completes(near, key + u, j + 1, uncovered, n, k) for u in uncovered[j])
 
 
 def find_pm_complement(
@@ -90,6 +146,9 @@ def find_pm_complement(
     returning a partial answer; it does not disprove existence.  Restart
     r draws from stream seed+(r,): one permutation per extension step and
     one integer per release.
+
+    The host edges through a part-1 vertex are held as a set of tail keys
+    (`_keys` of slots 2..k), built the first time the walk visits that vertex.
     """
     if not h.n_balanced:
         raise ValueError(f"part sizes {h.part_sizes} are not all equal")
@@ -97,14 +156,18 @@ def find_pm_complement(
     k = h.k
     if n == 0:
         return Matching(edges=(), perfect=True)
-    other = n ** (k - 1)
-    for j, col in enumerate(h.edge_array.T):
-        full = np.flatnonzero(np.bincount(col, minlength=n) == other)
+    e = h.edge_array
+    degrees = [np.bincount(col, minlength=n) for col in e.T]
+    for j, deg in enumerate(degrees):
+        full = np.flatnonzero(deg == n ** (k - 1))
         if len(full):
             raise BudgetExceededError(
                 f"part {j + 1} vertex {full[0]} has no complement edge; "
                 f"no perfect matching exists"
             )
+    keys = _keys(e[np.argsort(e[:, 0], kind="stable"), 1:], n)
+    starts = np.concatenate(([0], np.cumsum(degrees[0]))).tolist()
+    near = [None] * n
     for attempt in range(budget):
         rng = rng_for(seed, attempt)
         uncovered = [list(range(n)) for _ in range(k)]
@@ -112,28 +175,32 @@ def find_pm_complement(
         repairs = 0
         failed = False
         while uncovered[0]:
-            prefix = [uncovered[0][0]]
+            v = uncovered[0][0]
+            if near[v] is None:
+                near[v] = set(keys[starts[v] : starts[v + 1]].tolist())
+            prefix = [v]
+            key = 0
             ok = True
             for j in range(1, k):
                 pool = uncovered[j]
                 for pos in rng.permutation(len(pool)):
-                    prefix.append(pool[pos])
-                    if _completion_exists(h, prefix, j + 1, uncovered):
+                    u = pool[pos]
+                    if _completes(near[v], key * n + u, j + 1, uncovered, n, k):
                         break
-                    prefix.pop()
                 else:
                     ok = False
                     break
+                prefix.append(u)
+                key = key * n + u
             if ok:
                 t = tuple(prefix)
                 matched.append(t)
                 for j in range(k):
-                    uncovered[j].remove(t[j])
+                    del uncovered[j][bisect_left(uncovered[j], t[j])]
             elif repairs < 2 and matched:
                 victim = matched.pop(int(rng.integers(0, len(matched))))
                 for j in range(k):
-                    uncovered[j].append(victim[j])
-                    uncovered[j].sort()
+                    insort(uncovered[j], victim[j])
                 repairs += 1
             else:
                 failed = True
@@ -214,42 +281,39 @@ def color_from_matching(h: KPartiteHypergraph, m: Matching) -> PartialColoring:
     never exceeds k*Delta(H) + 1.
 
     A host edge's owner row names the tuple holding each of its ends; the
-    edge is looked at once, when the last of those tuples is colored, and
-    forbids a color exactly when its other ends all carry that color.
+    edge is looked at once, when the last of those tuples is colored.  Its
+    ends in that tuple then read as its first owner, and it forbids that
+    owner's color exactly when all its entries carry one color.
     """
-    bad = matching_violations(h, Matching(edges=m.edges, perfect=True))
+    bad, owner = _check_matching(h, Matching(edges=m.edges, perfect=True))
     if bad:
         raise ValueError("not a perfect complement matching: " + "; ".join(bad))
     n_t = len(m.edges)
-    tuples = np.array(m.edges, dtype=np.intp).reshape(n_t, h.k)
-    owner = []
-    for j, sz in enumerate(h.part_sizes):
-        o = np.empty(sz, dtype=np.intp)
-        o[tuples[:, j]] = np.arange(n_t)
-        owner.append(o)
-    e = h.edge_array
-    rows = np.stack([owner[j][e[:, j]] for j in range(h.k)], axis=1)
-    last = rows.max(axis=1)
+    last = owner.max(axis=1)
+    first = owner.min(axis=1)
     order = np.argsort(last, kind="stable")
-    rows = rows[order].tolist()
+    rows = np.where(owner == last[:, None], first[:, None], owner)[order]
     starts = np.searchsorted(last[order], np.arange(n_t + 1)).tolist()
-    col = [0] * n_t  # 0: not colored yet, so tuple i reads as 0 while chosen
-    for i in range(n_t):
-        forbidden = set()
-        for row in rows[starts[i] : starts[i + 1]]:
-            seen = {col[o] for o in row}
-            if len(seen) == 2:
-                forbidden.add(max(seen))
-        c = 1
-        while c in forbidden:
-            c += 1
-        col[i] = c
-    highest = max(col, default=0)
     bound = h.k * h.max_degree + 1
-    if highest > bound:
-        raise RuntimeError(f"greedy used {highest} colors, bound {bound}")
-    tuple_color = np.array(col, dtype=np.intp)
-    return PartialColoring(max(highest, 1), [tuple_color[o] for o in owner])
+    col = np.zeros(n_t, dtype=np.intp)
+    taken = np.zeros(bound + 2, dtype=bool)  # taken[c]: color c forbidden
+    taken[0] = True
+    for i in range(n_t):
+        ends = col[rows[starts[i] : starts[i + 1]]]
+        forbidden = ends[(ends == ends[:, :1]).all(axis=1), 0]
+        taken[forbidden] = True
+        c = int(taken.argmin())
+        taken[forbidden] = False
+        if c > bound:
+            raise RuntimeError(f"greedy used {c} colors, bound {bound}")
+        col[i] = c
+    tuples = np.array(m.edges, dtype=np.intp).reshape(n_t, h.k)
+    colors = []
+    for j, sz in enumerate(h.part_sizes):
+        a = np.empty(sz, dtype=np.intp)
+        a[tuples[:, j]] = col
+        colors.append(a)
+    return PartialColoring(max(int(col.max(initial=0)), 1), colors)
 
 
 def fallback_coloring(

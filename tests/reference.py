@@ -450,3 +450,30 @@ def find_pm_complement(h, seed=0, budget=10**4):
     raise BudgetExceededError(
         f"no perfect matching found in {budget} restarts (existence not disproved)"
     )
+
+
+def matching_violations(h, tuples, perfect=False):
+    """Violation messages of a complement matching, as a tuple, from one
+    pass over its tuples against the host's edge tuples."""
+    edge_set = set(h.edges)
+    bad = []
+    seen = [set() for _ in range(h.k)]
+    for t in tuples:
+        if len(t) != h.k:
+            bad.append(f"tuple {t} has arity {len(t)}")
+            continue
+        if t in edge_set:
+            bad.append(f"tuple {t} is an edge of the host")
+        for j, idx in enumerate(t):
+            if not 0 <= idx < h.part_sizes[j]:
+                bad.append(f"tuple {t}: index {idx} out of range in part {j + 1}")
+            elif idx in seen[j]:
+                bad.append(f"part {j + 1} vertex {idx} covered twice")
+            else:
+                seen[j].add(idx)
+    if perfect:
+        for j, sz in enumerate(h.part_sizes):
+            missing = sz - len(seen[j])
+            if missing:
+                bad.append(f"part {j + 1}: {missing} vertices uncovered")
+    return tuple(bad)

@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import balhyp.cli
 from balhyp.cli import fmt_sci6, main
-from balhyp.core import KPartiteHypergraph, emit_khg
+from balhyp.core import KPartiteHypergraph, PartialColoring, emit_khg
 from balhyp.models import sample_hknp
 
 
@@ -208,6 +210,35 @@ def test_fallback_cli(tmp_path, capsys):
     payload = json.loads((tmp_path / "fb.json").read_text())
     assert payload["valid"] is True
     assert payload["palette"] >= 1
+
+
+def test_fallback_cli_raises_on_invalid_verdict(tmp_path, monkeypatch):
+    path = str(tmp_path / "h.khg")
+    run(["gen", "--k", "2", "--n", "4", "--p", "0.1", "--seed", "9", "--out", path])
+    # class 1 has three part-1 vertices but one part-2 vertex: unbalanced
+    unbalanced = PartialColoring(2, [np.array([1, 1, 1, 2]), np.array([1, 2, 2, 2])])
+    monkeypatch.setattr(balhyp.cli, "fallback_coloring", lambda h, **kw: unbalanced)
+    out = tmp_path / "fb.json"
+    with pytest.raises(RuntimeError, match="not a proper balanced coloring"):
+        run(["fallback-color", "--in", path, "--seed", "0", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_coloring_paths_never_build_edge_tuples(tmp_path, monkeypatch):
+    # small versions of the benchmark's color shapes; the matching, its
+    # check and the colorer all read the edge array
+    def refuse(h):
+        raise AssertionError("built the edge tuples")
+
+    monkeypatch.setattr(KPartiteHypergraph, "edges", property(refuse))
+    for i, (k, n, p) in enumerate([(2, 64, 8 / 64), (3, 64, 8 / 64**2), (2, 32, 0.4)]):
+        path = str(tmp_path / f"h{i}.khg")
+        assert run(["gen", "--k", str(k), "--n", str(n), "--p", repr(p),
+                    "--seed", str(i), "--out", path]) == 0
+        assert run(["color", "--in", path, "--seed", "1",
+                    "--json", str(tmp_path / f"c{i}.json")]) == 0
+        assert run(["fallback-color", "--in", path, "--seed", "1",
+                    "--out", str(tmp_path / f"f{i}.json")]) == 0
 
 
 def test_missing_input_exit_2(tmp_path, capsys):

@@ -17,6 +17,7 @@ from balhyp.coloring import (
     col_params,
     col_random_phase,
     full_coloring,
+    is_clamped,
     rebalance,
     residual,
 )
@@ -386,6 +387,7 @@ def test_rebalance_matches_reference(data):
     state = PhaseState(h=h, phi=PartialColoring(q, colors), q=q, lists_k=(), u_k=())
     assert state.classes() == reference.classes(colors, q)
     out = rebalance(state, params)
+    assert is_clamped(state, params) == out.clamped
     want = reference.rebalance(h, colors, q, params.n_c, params.delta_tilde_eff)
     got = (out.phi.colors, out.n_c, out.u_k_prime, out.bad_sets, out.clamped, out.good_shortage)
     assert got == want
@@ -463,22 +465,42 @@ def test_full_coloring_fallback_verdict_raises(monkeypatch, route):
 
 
 def test_clamped_attempts_build_no_residual(monkeypatch):
+    # every attempt is clamped here, so none is rebalanced or gets a residual
     h = sample_hknp(2, 64, 8 / 64, 5)
-    clamped, built = [], []
+    calls = {"col_random_phase": 0, "rebalance": 0, "residual": 0}
+    verdicts = []
 
-    def spy_rebalance(state, params):
-        out = rebalance(state, params)
-        clamped.append(out.clamped)
-        return out
+    def spy(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(balhyp.coloring, name, wrapped)
 
-    monkeypatch.setattr(balhyp.coloring, "rebalance", spy_rebalance)
-    monkeypatch.setattr(balhyp.coloring, "residual", lambda *a: built.append(a) or residual(*a))
+    for name in calls:
+        spy(name, getattr(balhyp.coloring, name))
+    monkeypatch.setattr(balhyp.coloring, "is_clamped",
+                        lambda *a: verdicts.append(is_clamped(*a)) or verdicts[-1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, report = full_coloring(h, 0.2, seed=0)
-    assert clamped == [True] * 16
-    assert built == []
+    assert calls == {"col_random_phase": 16, "rebalance": 0, "residual": 0}
+    assert verdicts == [True] * 16
     assert (report["path"], report["retries_used"]) == ("fallback", 16)
+
+
+def test_is_clamped_matches_rebalance():
+    seen = set()
+    for i, (k, n, d) in enumerate([(2, 30, 1.5), (2, 64, 8), (3, 40, 4), (2, 200, 3)]):
+        params = quiet_col_params(k, 0.2, 3.0 + i, n)
+        h = sample_hknp(k, n, d / n ** (k - 1), (120, i))
+        for t in range(12):
+            state = col_random_phase(h, params.q, (121, i, t))
+            for n_c in (0, params.n_c, params.n_c + 1, n):
+                ledger = SimpleNamespace(n_c=n_c, delta_tilde_eff=params.delta_tilde_eff)
+                verdict = is_clamped(state, ledger)
+                assert verdict == rebalance(state, ledger).clamped
+                seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_accepts_is_the_stated_rule():

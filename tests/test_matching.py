@@ -1,10 +1,12 @@
 """Tests for complement perfect matchings and the matching-based coloring."""
 
+import random
 import warnings
 
 import numpy as np
 import pytest
 
+import balhyp.matching
 from balhyp.cli import main
 from balhyp.core import (
     KPartiteHypergraph,
@@ -23,7 +25,7 @@ from balhyp.matching import (
 )
 from balhyp.models import sample_hknp
 
-from conftest import cap_max_degree, mixed_instances
+from conftest import cap_max_degree, mixed_instances, product_instances
 import reference
 
 
@@ -54,6 +56,61 @@ def test_violations_reported():
         "uncovered" in v
         for v in matching_violations(h, Matching(edges=((0, 1),), perfect=True))
     )
+
+
+def test_violations_match_reference():
+    """Same messages, in the same order, as the one-pass loop."""
+    h = KPartiteHypergraph([3, 3, 2], [(0, 0, 0), (1, 2, 1), (2, 1, 0)])
+    big = 2**70
+    malformed = [
+        ((0, 1), (1, 0, 1, 0)),  # wrong arity
+        ((0, 1, 2), (3, 0, 0), (-1, 2, 1), (1, 1, big), (-big, 0, 0)),  # out of range
+        ((0, 1, 0), (0, 2, 1), (1, 1, 1), (2, 1, 1)),  # repeated vertex
+        ((1, 2, 1), (0, 1, 0), (2, 0, 1)),  # host edge
+        ((0, 1, 0), (1, 0, 1)),  # missing tuples
+        ((0, 0, 0), (0, 0, 0), (1, 2), (1, 2, 1), (2, 1, 0), (5, 0, 0),
+         (np.int64(2), 2, 1), (1, 0, 7)),  # mixed: host edges repeated too
+        (),
+    ]
+    for tuples in malformed:
+        for perfect in (False, True):
+            want = reference.matching_violations(h, tuples, perfect)
+            assert matching_violations(h, Matching(tuples, perfect)) == want, tuples
+            assert want or not perfect
+    assert matching_violations(h, Matching(((0, 1, 0), (1, 0, 1)), perfect=True)) == (
+        "part 1: 1 vertices uncovered", "part 2: 1 vertices uncovered",
+    )
+    # seeded fuzz over mostly unbalanced hosts
+    pick = random.Random(130)
+    for h in product_instances(131, 6, n_max=5):
+        edges = list(h.edges)
+        for _ in range(10):
+            tuples = []
+            for _ in range(pick.randint(0, 2 * max(h.part_sizes))):
+                r = pick.random()
+                if r < 0.15 and edges:
+                    t = pick.choice(edges)
+                elif r < 0.2:
+                    t = tuple(pick.randint(0, 4) for _ in range(pick.choice([1, h.k + 1])))
+                elif r < 0.3:
+                    t = tuple(pick.choice([-1, sz, big, pick.randrange(sz)])
+                              for sz in h.part_sizes)
+                else:
+                    t = tuple(pick.randrange(sz) for sz in h.part_sizes)
+                tuples.append(t)
+            for perfect in (False, True):
+                want = reference.matching_violations(h, tuples, perfect)
+                got = matching_violations(h, Matching(tuple(tuples), perfect))
+                assert got == want, (h.part_sizes, h.edges, tuples)
+
+
+def test_keys_never_overflow():
+    n = 2**40  # n^2 is past intp, so the keys are Python ints
+    rows = np.array([[n - 1, n - 2], [3, 7]])
+    assert balhyp.matching._keys(rows, n).tolist() == [(n - 1) * n + n - 2, 3 * n + 7]
+    assert balhyp.matching._keys(rows[1:], 8).tolist() == [3 * 8 + 7]
+    wide = np.array([[1, 2, 3], [0, 0, 1]])
+    assert balhyp.matching._keys(wide, 10).tolist() == [123, 1]
 
 
 def test_find_pm_edgeless():
@@ -127,6 +184,8 @@ def test_find_pm_matches_reference():
         sample_hknp(2, 256, 32 / 256, 93),
         sample_hknp(3, 256, 32 / 256**2, 94),
         sample_hknp(2, 128, 0.4, 95),
+        sample_hknp(2, 512, 32 / 512, 99),
+        sample_hknp(3, 128, 16 / 128**2, 100),
     ]
     outcomes = set()
     for i, h in enumerate(cases):
@@ -137,6 +196,27 @@ def test_find_pm_matches_reference():
             assert got == want, (i, budget)
             outcomes.add(type(want))
     assert outcomes == {tuple, str}
+
+
+def _dense_instances():
+    """k=2, n=64 with Delta capped at n/2: walks that release and restart."""
+    return [cap_max_degree(sample_hknp(2, 64, 0.55, (97, 2, 64, s)), 32) for s in range(3)]
+
+
+def test_find_pm_matches_reference_dense(monkeypatch):
+    calls = {"rng_for": 0, "insort": 0}
+    for name in calls:
+        fn = getattr(balhyp.matching, name)
+        monkeypatch.setattr(balhyp.matching, name,
+                            lambda *a, _fn=fn, _name=name: calls.__setitem__(
+                                _name, calls[_name] + 1) or _fn(*a))
+    for i, h in enumerate(_dense_instances()):
+        assert h.max_degree == 32
+        for seed in range(3):
+            want = reference.find_pm_complement(h, seed=(98, seed))
+            assert find_pm_complement(h, seed=(98, seed)).edges == want, (i, seed)
+    # a restart draws a new stream; a release puts a tuple's vertices back
+    assert calls["rng_for"] > 9 and calls["insort"] > 0
 
 
 def test_exact_pm_edgeless():
@@ -271,15 +351,16 @@ def _matched_instance(k, n, p, seed):
 
 def test_color_from_matching_matches_reference():
     cases = [(k, n, p) for k in (2, 3, 4) for n in (1, 2, 5) for p in (0.0, 0.3, 0.7, 1.0)]
-    cases += [(2, 256, 32 / 256), (3, 256, 32 / 256**2), (2, 128, 0.4)]
+    cases += [(2, 256, 32 / 256), (3, 256, 32 / 256**2), (2, 128, 0.4),
+              (2, 512, 32 / 512), (3, 128, 16 / 128**2), (2, 64, 0.45)]
     for seed, (k, n, p) in enumerate(cases):
         h, tuples = _matched_instance(k, n, p, seed)
         phi = color_from_matching(h, Matching(edges=tuple(tuples), perfect=True))
         assert (phi.q, phi.colors) == reference.color_from_matching(h, tuples)
-    h = sample_hknp(3, 6, 0.2, 9)
-    m = find_pm_complement(h, seed=4)
-    phi = color_from_matching(h, m)
-    assert (phi.q, phi.colors) == reference.color_from_matching(h, m.edges)
+    for i, h in enumerate([sample_hknp(3, 6, 0.2, 9)] + _dense_instances()):
+        m = find_pm_complement(h, seed=4 + i)
+        phi = color_from_matching(h, m)
+        assert (phi.q, phi.colors) == reference.color_from_matching(h, m.edges)
 
 
 def test_color_from_matching_raises_past_palette_bound():
