@@ -128,7 +128,10 @@ class KPartiteHypergraph:
         return hash((self.part_sizes, self.edge_set))
 
     def __repr__(self) -> str:
-        return f"KPartiteHypergraph(k={self.k}, part_sizes={self.part_sizes}, m={len(self.edges)})"
+        # counts the edges without building the tuple view; a ragged edge
+        # list, which has no edge array, was given as tuples
+        m = len(self.__dict__["edges"]) if "edges" in self.__dict__ else len(self.edge_array)
+        return f"KPartiteHypergraph(k={self.k}, part_sizes={self.part_sizes}, m={m})"
 
     def require_valid(self) -> "KPartiteHypergraph":
         diag = validate(self)
@@ -243,7 +246,12 @@ def codegree(h: KPartiteHypergraph, selection: Iterable[Vertex]) -> int:
 
 def incidence(h: KPartiteHypergraph, j: int) -> list:
     """Per vertex of part j+1, the rows of the edges through it as int
-    lists, in edge order.  One list per vertex: for the exhaustive oracles."""
+    lists, in edge order.  One list per vertex.
+
+    No library code calls it: the exhaustive search in `models` keys edges
+    by bitmask instead.  It stays only while the benchmark's tracer lists
+    it as a layer, until a benchmark change drops it from that list.
+    """
     groups = [[] for _ in range(h.part_sizes[j])]
     for e in h.edge_array.tolist():
         groups[e[j]].append(e)
@@ -535,8 +543,9 @@ def parse_khg(text: str) -> KPartiteHypergraph:
         raise KhgParseError(2, f"non-integer token: {exc}") from None
     if k < 1 or len(sizes) != k:
         raise KhgParseError(2, f"expected k={k} part sizes, got {len(sizes)}")
+    count = _fields(3, lines[2])
     try:
-        m = int(lines[2])
+        (m,) = map(int, count)  # exactly one integer token
     except ValueError:
         raise KhgParseError(3, f"bad edge count {lines[2]!r}") from None
     if m < 0:

@@ -10,13 +10,16 @@ All logs are natural.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from balhyp.core import BalancedSet, KPartiteHypergraph, incidence, induced
+from balhyp.core import BalancedSet, KPartiteHypergraph, induced
 from balhyp.errors import BudgetExceededError, RegimeError
 from balhyp.rng import SeedLike, rng_for
 
@@ -198,7 +201,8 @@ def exists_balanced_is(
     Enumerates side-s subsets of parts 1..k-1 in lexicographic order; given
     those, a valid part-k completion exists iff at most n_k - s part-k
     vertices close an edge.  Raises BudgetExceededError when the subset
-    count C(n,s)^k is out of reach rather than guessing.
+    count, the product over all k parts of C(n_j, s), exceeds `budget`,
+    rather than guessing.
     """
     if s < 0:
         raise ValueError(f"s={s} must be non-negative")
@@ -219,25 +223,30 @@ def exists_balanced_is(
 def _balanced_is_witness(h: KPartiteHypergraph, s: int) -> BalancedSet | None:
     """The first side-s balanced independent set in enumeration order, or None.
 
-    Walks side-s subsets of parts 1..k-1 in lexicographic order; a part-k
-    vertex is blocked when some edge through the chosen part-1 vertices
-    has all its other ends chosen, and the witness completes the subsets
-    with the s lowest unblocked part-k vertices.  Assumes 0 <= s <= every
-    part size.
+    Walks side-s subsets of parts 1..k-1 in lexicographic order (the
+    `itertools.product` of their `combinations`).  The part-k ends of the
+    edges are bitmasks in Python ints, so width is unbounded: `rows` keeps,
+    per choice of parts 1..k-2 vertices, one mask per part-(k-1) vertex of
+    the part-k vertices that close an edge through them.  A choice of parts
+    1..k-2 ORs its rows once; each part-(k-1) subset then ORs s masks into
+    `blocked`, and the witness completes the subsets with the s lowest
+    unblocked part-k vertices.  Assumes 0 <= s <= every part size.
     """
-    k = h.k
-    nk = h.part_sizes[-1]
-    by_first = incidence(h, 0)
-    for combo in itertools.product(
-        *(itertools.combinations(range(sz), s) for sz in h.part_sizes[:-1])
+    *outer_sizes, n_row, nk = h.part_sizes
+    rows = collections.defaultdict(lambda: [0] * n_row)
+    for *head, u, w in h.edge_array.tolist():
+        rows[tuple(head)][u] |= 1 << w
+    empty = [0] * n_row
+    for outer in itertools.product(
+        *(itertools.combinations(range(sz), s) for sz in outer_sizes)
     ):
-        member = [set(sub) for sub in combo[1:]]
-        blocked = set()
-        for u in combo[0]:
-            for e in by_first[u]:
-                if all(e[j] in member[j - 1] for j in range(1, k - 1)):
-                    blocked.add(e[k - 1])
-        if nk - len(blocked) >= s:
-            free = [i for i in range(nk) if i not in blocked]
-            return BalancedSet(list(combo) + [free[:s]])
+        row = empty
+        for head in itertools.product(*outer):
+            if head in rows:
+                row = list(map(operator.or_, row, rows[head]))
+        for combo in itertools.combinations(range(n_row), s):
+            blocked = functools.reduce(operator.or_, map(row.__getitem__, combo), 0)
+            if nk - blocked.bit_count() >= s:
+                free = (i for i in range(nk) if not blocked >> i & 1)
+                return BalancedSet(list(outer) + [combo, itertools.islice(free, s)])
     return None

@@ -77,8 +77,9 @@ def parse_khg(text):
         raise KhgParseError(2, f"non-integer token: {exc}") from None
     if k < 1 or len(sizes) != k:
         raise KhgParseError(2, f"expected k={k} part sizes, got {len(sizes)}")
+    count = fields(3, lines[2])
     try:
-        m = int(lines[2])
+        (m,) = map(int, count)  # exactly one integer token
     except ValueError:
         raise KhgParseError(3, f"bad edge count {lines[2]!r}") from None
     if m < 0:

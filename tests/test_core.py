@@ -247,6 +247,9 @@ def test_khg_errors_carry_line_numbers():
         ("khg 1\n2 1 1\n1\n0 0 ", 4),
         ("khg 1\n2  1 1\n0\n", 2),
         ("khg 1\n2 1 1\n0", 3),
+        ("khg 1\n2 1 1\n 1\n0 0\n", 3),
+        ("khg 1\n2 1 1\n1 \n0 0\n", 3),
+        ("khg 1\n2 1 1\n1 1\n0 0\n", 3),
     ]
     for text, line in cases:
         with pytest.raises(KhgParseError) as err:
@@ -344,6 +347,18 @@ def test_validate_duplicates_past_int64_product():
         assert list(validate(g).violations) == reference.validate(g)
 
 
+def test_repr_builds_no_edge_tuples(monkeypatch):
+    h = KPartiteHypergraph([64, 64], np.array([[i, (7 * i) % 64] for i in range(64)]))
+    ragged = KPartiteHypergraph([2, 2], [(0, 0), (1,)])
+
+    def refuse(h):
+        raise AssertionError("built the edge tuples")
+
+    monkeypatch.setattr(KPartiteHypergraph, "edges", property(refuse))
+    assert repr(h) == "KPartiteHypergraph(k=2, part_sizes=(64, 64), m=64)"
+    assert repr(ragged) == "KPartiteHypergraph(k=2, part_sizes=(2, 2), m=2)"
+
+
 def test_array_constructor():
     a = KPartiteHypergraph([3, 2], np.array([[2, 1], [0, 0]], dtype=np.int32))
     assert a.edge_array.dtype == np.intp and not a.edge_array.flags.writeable
@@ -406,6 +421,47 @@ def test_parse_matches_reference(data):
     got = parse_khg(text)
     assert got.part_sizes == want.part_sizes and got.edges == want.edges
     assert validate(got).violations == tuple(reference.validate(want))
+
+
+_MAGICS = ["khg 1", "khg 2", "KHG 1", "khg  1", "khg 1 ", "khg", ""]
+_HEADER_INTS = ["0", "1", "2", "3", "-1", "-3", "+2", "02", "1_0", "١", "３",
+                "1000000000000", "99999999999999999999", "1.5", "x", "1e3", "²", ""]
+_COUNTS = ["0", "1", "2", "-1", "01", "+1", "١", "99999999999999999999",
+           " 1", "1 ", "1  1", "1 1", "\t1", "", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_header_fuzz(data):
+    """Mutated magic, k, part sizes and edge count: the parser raises
+    KhgParseError with a line number, or returns what the reference does,
+    a graph that `validate` rejects or one whose header reads back."""
+    def field(good, mutants):  # mutated one time in three
+        return data.draw(st.sampled_from(mutants)) if data.draw(st.integers(0, 2)) == 0 else good
+
+    k = data.draw(st.integers(2, 3))
+    body = [" ".join(["0"] * k)] * data.draw(st.integers(0, 2))
+    magic = field("khg 1", _MAGICS)
+    k_tok = field(str(k), _HEADER_INTS)
+    sizes = [field("1", _HEADER_INTS) for _ in range(field(k, [k - 1, k + 1]))]
+    m = field(str(len(body)), _COUNTS)
+    text = "\n".join([magic, " ".join([k_tok] + sizes), m] + body) + "\n"
+    try:
+        want = reference.parse_khg(text)
+    except KhgParseError as exc:
+        with pytest.raises(KhgParseError) as err:
+            parse_khg(text)
+        assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+        assert 1 <= err.value.line <= text.count("\n")
+        return
+    got = parse_khg(text)
+    assert got.part_sizes == want.part_sizes and got.edges == want.edges
+    diag = validate(got)
+    assert diag.violations == tuple(reference.validate(want))
+    if diag.ok:
+        assert (got.k, got.part_sizes, len(got.edge_array)) == (
+            int(k_tok), tuple(map(int, sizes)), int(m)
+        )
 
 
 def test_parse_index_beyond_intp_reaches_validate():

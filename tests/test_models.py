@@ -1,6 +1,8 @@
 """Tests for the random model, trimming, and union-bound calculators."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -260,6 +262,24 @@ def test_exists_matches_reference():
     for h in product_instances(42, rounds=3):
         for s in range(max(h.part_sizes) + 2):
             assert exists_balanced_is(h, s) == reference.exists_balanced_is(h, s)
+
+
+def test_witness_matches_reference():
+    # the same first witness, not just the same verdict; part k of more
+    # than 128 vertices catches a fixed-width mask
+    pick = random.Random(7)
+    wide = [
+        KPartiteHypergraph(sizes, [
+            t for t in itertools.product(*map(range, sizes)) if pick.random() < 0.7
+        ])
+        for sizes in ([6, 130], [3, 2, 150])
+    ]
+    wide.append(KPartiteHypergraph([2, 130], [(u, w) for u in range(2) for w in range(129)]))
+    for h in product_instances(42, rounds=3) + wide:
+        for s in range(1, min(h.part_sizes) + 1):
+            got = balhyp.models._balanced_is_witness(h, s)
+            want = reference.balanced_is_witness(h, s)
+            assert (None if got is None else got.parts) == want, (h, s)
 
 
 def test_exists_too_large_for_side():

@@ -20,6 +20,24 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_incidence_has_no_library_caller():
+    # `core.incidence` is kept only as a traced benchmark layer; no other
+    # module may come to depend on it again
+    found = []
+    for path in sorted(Path(balhyp.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if "incidence" in (
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+            )
+        ]
+    assert found == []
+
+
 def test_bench_tracer_finds_every_layer():
     # a refactor that drops or renames a traced layer fails here, not in
     # every benchmark run's self-test
