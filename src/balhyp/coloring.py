@@ -123,42 +123,24 @@ def col_params(k: int, epsilon: float, Delta: float, n: int) -> ColParams:
     return ColParams(k=k, epsilon=epsilon, Delta=Delta, n=n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseState:
     """Coloring state after the random phase, optionally rebalanced.
 
-    lists_k[v] is the sorted survivor list of part-k vertex v; u_k holds
-    the vertices whose list was empty.  Rebalancing fills in n_c, the
-    enlarged uncolored pool u_k_prime, the per-class bad sets, and the two
-    failure flags (class clamped below target, good vertices exhausted).
+    `allowed` is the read-only (n, q+1) boolean survivor matrix of part k:
+    allowed[v, c] says color c is in L(v), and column 0 is False, so a
+    part-k vertex is uncolored after the random phase exactly when its row
+    is all False.  Rebalancing fills in n_c and the two failure flags
+    (class clamped below target, good vertices exhausted).  States compare
+    by identity, since a field-wise == is ambiguous on arrays.
     """
 
     h: KPartiteHypergraph
     phi: PartialColoring
-    q: int
-    lists_k: tuple
-    u_k: tuple
+    allowed: np.ndarray
     n_c: Optional[int] = None
-    u_k_prime: Optional[tuple] = None
-    bad_sets: Optional[dict] = None
     clamped: bool = False
     good_shortage: bool = False
-
-    def classes(self) -> dict:
-        """(part, color) -> sorted indices currently colored that color."""
-        out = {}
-        for j, a in enumerate(self.phi.color_arrays):
-            for c, members in enumerate(_members_by_color(a, self.q), start=1):
-                out[(j + 1, c)] = members
-        return out
-
-
-def _members_by_color(a: np.ndarray, q: int) -> list:
-    """Entry c-1 is the sorted tuple of indices i with a[i] == c, c in 1..q."""
-    order = np.argsort(a, kind="stable")
-    ends = np.searchsorted(a[order], np.arange(1, q + 2)).tolist()
-    order = order.tolist()
-    return [tuple(order[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 def col_random_phase(h: KPartiteHypergraph, q: int, seed: SeedLike) -> PhaseState:
@@ -193,14 +175,11 @@ def col_random_phase(h: KPartiteHypergraph, q: int, seed: SeedLike) -> PhaseStat
     # the rank of an empty list, so argmax picks column 0, uncolored
     rank = np.maximum(1, np.ceil(selectors * sizes))
     part_k = (np.cumsum(allowed, axis=1) >= rank[:, None]).argmax(axis=1)
-    survivors = np.nonzero(allowed)[1].tolist()
-    ends = np.cumsum(sizes).tolist()
-    lists_k = tuple(tuple(survivors[lo:hi]) for lo, hi in zip([0] + ends, ends))
-    u_k = tuple(np.flatnonzero(sizes == 0).tolist())
+    allowed.flags.writeable = False
     phi = PartialColoring(q, cols + [part_k])
     if not is_proper_on_colored(h, phi):
         raise RuntimeError("random phase produced a monochromatic edge")
-    return PhaseState(h=h, phi=phi, q=q, lists_k=lists_k, u_k=u_k)
+    return PhaseState(h=h, phi=phi, allowed=allowed)
 
 
 def is_clamped(state: PhaseState, params) -> bool:
@@ -208,7 +187,7 @@ def is_clamped(state: PhaseState, params) -> bool:
     the random phase is below params.n_c.  Rebalancing draws nothing, so
     this settles the `clamped` flag before it runs."""
     return any(
-        np.bincount(a, minlength=state.q + 1)[1:].min() < params.n_c
+        np.bincount(a, minlength=state.phi.q + 1)[1:].min() < params.n_c
         for a in state.phi.color_arrays
     )
 
@@ -217,30 +196,27 @@ def rebalance(state: PhaseState, params) -> PhaseState:
     """Steps three and four: trim every class to a common size n_c.
 
     n_c is clamped to the smallest class when needed (setting `clamped`).
-    Part k uncolors lowest-index vertices first; the enlarged uncolored
-    pool u_k_prime then defines the bad sets, and parts below k uncolor
-    lowest-index good vertices first, dipping into bad ones only when good
-    ones run out (setting `good_shortage`).  Afterwards every class has
-    exactly n_c vertices per part and each part has n - q*n_c uncolored.
+    Part k uncolors lowest-index vertices first.  A vertex of a part below
+    k is bad when at least delta_tilde_eff of its edges meet the enlarged
+    uncolored part-k pool; those parts uncolor lowest-index good vertices
+    first, dipping into bad ones only when good ones run out (setting
+    `good_shortage`).  Afterwards every class has exactly n_c vertices per
+    part and each part has n - q*n_c uncolored.
     """
     h = state.h
-    q, k = state.q, h.k
+    q, k = state.phi.q, h.k
     colors = [np.array(a) for a in state.phi.color_arrays]
     counts = [np.bincount(a, minlength=q + 1) for a in colors]
     clamped = is_clamped(state, params)
     n_c = min(int(cnt[1:].min()) for cnt in counts) if clamped else params.n_c
     _uncolor_lowest(colors[k - 1], counts[k - 1], n_c, np.zeros(len(colors[k - 1]), dtype=bool))
-    u_k_prime = tuple(np.flatnonzero(colors[k - 1] == 0).tolist())
     e = h.edge_array
     in_pool = colors[k - 1][e[:, k - 1]] == 0
     n = h.part_sizes[0]
-    bad_sets = {}
     good_shortage = False
     for j in range(k - 1):
         a = colors[j]
         bad = np.bincount(e[:, j].compress(in_pool), minlength=n) >= params.delta_tilde_eff
-        for c, members in enumerate(_members_by_color(np.where(bad, a, 0), q), start=1):
-            bad_sets[(j + 1, c)] = members
         good = np.bincount(a[~bad], minlength=q + 1)
         good_shortage |= bool((good[1:] < counts[j][1:] - n_c).any())
         _uncolor_lowest(a, counts[j], n_c, bad)
@@ -248,8 +224,6 @@ def rebalance(state: PhaseState, params) -> PhaseState:
         state,
         phi=PartialColoring(q, colors),
         n_c=n_c,
-        u_k_prime=u_k_prime,
-        bad_sets=bad_sets,
         clamped=clamped,
         good_shortage=good_shortage,
     )
@@ -295,8 +269,9 @@ def full_coloring(
     attempt is colored by the matching fallback on stream seed+(r, 1) with
     palette offset q.  If the parameter ledger rejects the instance or no
     attempt is accepted, the whole instance goes to the matching fallback
-    on stream seed+(max_retries, 1).  Edgeless input short-circuits to the
-    single-color answer.
+    on stream seed+(max_retries, 1), so max_retries=0 goes straight to the
+    fallback and a negative max_retries raises ValueError.  Edgeless input
+    short-circuits to the single-color answer.
 
     Every path ends in one output check: the coloring must be total,
     proper and balanced, and use at most q + k*Delta_res + 1 colors
@@ -309,6 +284,8 @@ def full_coloring(
     """
     if not h.n_balanced:
         raise ValueError(f"part sizes {h.part_sizes} are not all equal")
+    if max_retries < 0:
+        raise ValueError(f"max_retries={max_retries} must be non-negative")
     n = h.part_sizes[0]
     k = h.k
     base = as_stream(seed)

@@ -218,17 +218,14 @@ def _run_cell_concentration(cell, ci, spec):
 
     def one(t):
         st = col_random_phase(h, q, (spec.seed, ci, t + 1))
-        lst = st.lists_k[probe]
-        mask = 0
-        for c in range(1, q + 1):
-            if c not in lst:
-                mask |= 1 << (c - 1)
+        banned = ~st.allowed[probe, 1:]  # entry c-1: color c is not in L(probe)
+        size = q - int(np.count_nonzero(banned))
         return {
             "v1c1_size": int(np.count_nonzero(st.phi.color_arrays[0] == 1)),
-            "u_k_size": len(st.u_k),
-            "probe_list_size": len(lst),
-            "probe_banned_mask": mask,
-            "probe_empty": int(len(lst) == 0),
+            "u_k_size": int(np.count_nonzero(st.phi.color_arrays[k - 1] == 0)),
+            "probe_list_size": size,
+            "probe_banned_mask": int.from_bytes(np.packbits(banned, bitorder="little"), "little"),
+            "probe_empty": int(size == 0),
         }
 
     rows, times = _run_trials(one, spec.trials)
@@ -262,18 +259,17 @@ def _run_cell_color(cell, ci, spec):
 
     def one(t):
         st = col_random_phase(h, params.q, (spec.seed, ci, t + 1))
-        classes = st.classes()
-        sizes = [len(v) for v in classes.values()]
+        sizes = np.array([np.bincount(a, minlength=params.q + 1)[1:] for a in st.phi.color_arrays])
         st2 = rebalance(st, params)
         h_phi, _ = residual(h, st2)
         return {
-            "u_k_size": len(st.u_k),
+            "u_k_size": int(np.count_nonzero(st.phi.color_arrays[k - 1] == 0)),
             "n_c": st2.n_c,
             "clamped": int(st2.clamped),
             "good_shortage": int(st2.good_shortage),
             "residual_delta": h_phi.max_degree,
-            "min_class": min(sizes),
-            "max_class": max(sizes),
+            "min_class": int(sizes.min()),
+            "max_class": int(sizes.max()),
             "accepted": int(accepts(st2, params, h_phi)),
         }
 

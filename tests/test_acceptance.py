@@ -164,7 +164,7 @@ def test_c4_fixed_instance_inequalities():
     banned = 0
     for t in range(trials):
         st = col_random_phase(h, q, (405, t))
-        banned += 1 not in st.lists_k[vstar]
+        banned += not st.allowed[vstar, 1]
     freq = banned / trials
     upper = 1.0 - (1.0 - 1.0 / q) ** deg
     se_f = math.sqrt(freq * (1.0 - freq) / trials)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import balhyp.cli
+import balhyp.coloring
+import balhyp.matching
 from balhyp.cli import fmt_sci6, main
 from balhyp.core import KPartiteHypergraph, PartialColoring, emit_khg
 from balhyp.models import sample_hknp
@@ -198,6 +200,28 @@ def test_color_cli(tmp_path, capsys):
     }
     assert len(payload["colors"]) == 2
     assert "palette" in capsys.readouterr().out
+
+
+def test_color_cli_rejects_negative_retries(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "h.khg")
+    run(["gen", "--k", "2", "--n", "12", "--p", "0.15", "--seed", "6",
+         "--out", path])
+    out = tmp_path / "col.json"
+    # zero retries is valid and goes straight to the fallback
+    assert run(["color", "--in", path, "--seed", "3", "--retries", "0",
+                "--json", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert (report["path"], report["retries_used"]) == ("fallback", 0)
+    out.unlink()
+    capsys.readouterr()
+    draws = []
+    for module in (balhyp.coloring, balhyp.matching):
+        monkeypatch.setattr(module, "rng_for", lambda *seed: draws.append(seed))
+    assert run(["color", "--in", path, "--seed", "3", "--retries", "-1",
+                "--json", str(out)]) == 2
+    assert capsys.readouterr().err == "error: max_retries=-1 must be non-negative\n"
+    assert draws == []
+    assert not out.exists()
 
 
 def test_fallback_cli(tmp_path, capsys):

@@ -40,6 +40,23 @@ def quiet_col_params(*args):
         return col_params(*args)
 
 
+def survivor_lists(state):
+    """The random phase's survivor lists L(v) of part k, as sorted tuples."""
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in state.allowed)
+
+
+def uncolored_k(state):
+    """Sorted part-k vertices the coloring leaves uncolored."""
+    return tuple(np.flatnonzero(state.phi.color_arrays[-1] == 0).tolist())
+
+
+def state_of(h, phi):
+    """A phase state for `phi` in which every part-k vertex may take every color."""
+    allowed = np.ones((h.part_sizes[-1], phi.q + 1), dtype=bool)
+    allowed[:, 0] = False
+    return PhaseState(h=h, phi=phi, allowed=allowed)
+
+
 def test_col_params_example_k2():
     pr = quiet_col_params(2, 0.2, 256.0, 10**5)
     logd = math.log(256.0)
@@ -90,16 +107,16 @@ def test_col_params_advisory():
 def test_phase_edgeless():
     h = KPartiteHypergraph([5, 5], [])
     state = col_random_phase(h, 3, 0)
-    assert state.u_k == ()
+    assert uncolored_k(state) == ()
     assert state.phi.is_total()
-    assert all(L == (1, 2, 3) for L in state.lists_k)
+    assert all(L == (1, 2, 3) for L in survivor_lists(state))
 
 
 def test_phase_forced_uncolored():
     h = KPartiteHypergraph([2, 2], [(0, 0)])
     state = col_random_phase(h, 1, 4)
-    assert state.lists_k[0] == ()
-    assert state.u_k == (0,)
+    assert survivor_lists(state)[0] == ()
+    assert uncolored_k(state) == (0,)
     assert state.phi.colors[1][0] is None
     assert state.phi.colors[1][1] == 1
 
@@ -113,8 +130,8 @@ def test_phase_golden():
     )
     state = col_random_phase(h, 3, 11)
     assert state.phi.colors == ((1, 1, 3, 2, 2, 2), (None, 2, 2, 2, 1, 3))
-    assert state.lists_k == ((), (2, 3), (1, 2), (2, 3), (1, 3), (1, 3))
-    assert state.u_k == (0,)
+    assert survivor_lists(state) == ((), (2, 3), (1, 2), (2, 3), (1, 3), (1, 3))
+    assert uncolored_k(state) == (0,)
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([11])))
     c1 = [int(c) for c in rng.integers(1, 4, size=6)]
@@ -125,7 +142,7 @@ def test_phase_golden():
         banned[b].add(c1[a])
     for v in range(6):
         L = [c for c in (1, 2, 3) if c not in banned[v]]
-        assert state.lists_k[v] == tuple(L)
+        assert survivor_lists(state)[v] == tuple(L)
         if L:
             want = L[max(1, math.ceil(sel[v] * len(L))) - 1]
             assert state.phi.colors[1][v] == want
@@ -149,32 +166,31 @@ def test_phase_proper_and_lists_match_naive():
                 )
                 if not forced:
                     L.append(c)
-            assert state.lists_k[v] == tuple(L)
-        assert state.u_k == tuple(
-            v for v in range(5) if state.lists_k[v] == ()
+            assert survivor_lists(state)[v] == tuple(L)
+        assert uncolored_k(state) == tuple(
+            v for v in range(5) if survivor_lists(state)[v] == ()
         )
 
 
 def test_rebalance_identity_when_already_balanced():
     h = KPartiteHypergraph([4, 4], [])
     phi = PartialColoring(2, [[1, 1, 2, 2], [1, 2, 1, 2]])
-    state = PhaseState(h=h, phi=phi, q=2, lists_k=((1, 2),) * 4, u_k=())
-    out = rebalance(state, SimpleNamespace(n_c=2, delta_tilde_eff=1))
+    out = rebalance(state_of(h, phi), SimpleNamespace(n_c=2, delta_tilde_eff=1))
     assert out.phi.colors == phi.colors
     assert out.n_c == 2
     assert out.clamped is False
     assert out.good_shortage is False
-    assert out.u_k_prime == ()
+    assert uncolored_k(out) == ()
 
 
 def test_rebalance_arithmetic():
     h = cap_max_degree(sample_hknp(2, 24, 0.12, 9), 6)
     pr = quiet_col_params(2, 0.2, max(h.max_degree, 3), 24)
     state = col_random_phase(h, pr.q, 21)
-    before = state.classes()
+    before = reference.classes(state.phi.colors, pr.q)
     out = rebalance(state, pr)
     n, q, k = 24, pr.q, 2
-    after = out.classes()
+    after = reference.classes(out.phi.colors, q)
     for j in range(1, k + 1):
         for c in range(1, q + 1):
             cls = after[(j, c)]
@@ -183,7 +199,7 @@ def test_rebalance_arithmetic():
     for j in range(k):
         uncolored = [i for i, col in enumerate(out.phi.colors[j]) if col is None]
         assert len(uncolored) == n - q * out.n_c
-    assert set(out.u_k) <= set(out.u_k_prime)
+    assert set(uncolored_k(state)) <= set(uncolored_k(out))
     assert sum(len(after[(k, c)]) for c in range(1, q + 1)) == q * out.n_c
     assert out.n_c == min([pr.n_c] + [len(v) for v in before.values()])
     assert out.clamped == (out.n_c < pr.n_c)
@@ -194,23 +210,34 @@ def test_rebalance_arithmetic():
 
 
 def test_rebalance_good_vertices_first():
-    # Uncolored-at-Col4 vertices must be outside the bad sets when the
-    # shortage flag is clear; recount badness directly.
-    h = cap_max_degree(sample_hknp(2, 30, 0.1, 31), 8)
-    pr = quiet_col_params(2, 0.2, max(h.max_degree, 3), 30)
-    state = col_random_phase(h, pr.q, 8)
-    out = rebalance(state, pr)
-    pool = set(out.u_k_prime)
-    before = state.classes()
-    after = out.classes()
-    for c in range(1, pr.q + 1):
-        dropped = set(before[(1, c)]) - set(after[(1, c)])
-        for u in dropped:
-            hits = sum(1 for e in h.edges if e[0] == u and e[1] in pool)
-            assert ((u in out.bad_sets[(1, c)])
-                    == (hits >= pr.delta_tilde_eff))
-            if not out.good_shortage:
-                assert hits < pr.delta_tilde_eff
+    # Recount badness from the rebalanced part-k pool and the edges: no
+    # class may drop a bad vertex while it keeps a good one, and with the
+    # shortage flag clear every dropped vertex is good.
+    dense = cap_max_degree(sample_hknp(2, 30, 0.1, 31), 8)
+    sparse = sample_hknp(2, 60, 1.5 / 60, 32)
+    seen = set()
+    for h in (dense, sparse):
+        n = h.part_sizes[0]
+        pr = quiet_col_params(2, 0.2, max(h.max_degree, 3), n)
+        for seed in range(4, 12):
+            state = col_random_phase(h, pr.q, seed)
+            out = rebalance(state, pr)
+            pool = set(uncolored_k(out))
+            bad = [sum(1 for e in h.edges if e[0] == u and e[1] in pool) >= pr.delta_tilde_eff
+                   for u in range(n)]
+            before = reference.classes(state.phi.colors, pr.q)
+            after = reference.classes(out.phi.colors, pr.q)
+            for c in range(1, pr.q + 1):
+                dropped = set(before[(1, c)]) - set(after[(1, c)])
+                bad_dropped = any(bad[u] for u in dropped)
+                bad_kept = [bad[u] for u in after[(1, c)]]
+                assert not (bad_dropped and not all(bad_kept))
+                if not out.good_shortage:
+                    assert not bad_dropped
+                seen.add((bad_dropped, any(bad_kept), out.good_shortage))
+    # both regimes occur: bad vertices dropped under a shortage, and kept
+    # while good ones are dropped instead
+    assert {(True, True, True), (False, True, False)} <= seen
 
 
 def test_residual_whole_instance():
@@ -227,8 +254,7 @@ def test_residual_whole_instance():
 def test_residual_empty():
     h = KPartiteHypergraph([4, 4], [])
     phi = PartialColoring(2, [[1, 1, 2, 2], [1, 2, 1, 2]])
-    state = PhaseState(h=h, phi=phi, q=2, lists_k=((1, 2),) * 4, u_k=())
-    out = rebalance(state, SimpleNamespace(n_c=2, delta_tilde_eff=1))
+    out = rebalance(state_of(h, phi), SimpleNamespace(n_c=2, delta_tilde_eff=1))
     sub, remap = residual(h, out)
     assert sub.part_sizes == (0, 0)
     assert sub.edges == ()
@@ -321,7 +347,7 @@ def test_ban_frequency_upper_bound():
     hits = 0
     for t in range(trials):
         state = col_random_phase(h, q, (71, t))
-        if 1 not in state.lists_k[v]:
+        if not state.allowed[v, 1]:
             hits += 1
     freq = hits / trials
     bound = 1 - (1 - 1 / q) ** h.degree((2, v))
@@ -369,8 +395,11 @@ def balanced_hypergraphs(draw):
 @given(balanced_hypergraphs(), st.integers(1, 8), st.integers(0, 2**32))
 def test_col_random_phase_matches_reference(h, q, seed):
     state = col_random_phase(h, q, seed)
-    assert (state.phi.colors, state.lists_k, state.u_k) == reference.col_random_phase(h, q, seed)
-    assert state.classes() == reference.classes(state.phi.colors, q)
+    got = (state.phi.colors, survivor_lists(state), uncolored_k(state))
+    assert got == reference.col_random_phase(h, q, seed)
+    assert state.allowed.shape == (h.part_sizes[-1], q + 1)
+    assert not state.allowed[:, 0].any()
+    assert not state.allowed.flags.writeable
 
 
 @settings(max_examples=300, deadline=None)
@@ -384,14 +413,13 @@ def test_rebalance_matches_reference(data):
     colors = [data.draw(st.lists(color, min_size=n, max_size=n)) for _ in range(h.k)]
     params = SimpleNamespace(n_c=data.draw(st.integers(0, n)),
                              delta_tilde_eff=data.draw(st.integers(1, 3)))
-    state = PhaseState(h=h, phi=PartialColoring(q, colors), q=q, lists_k=(), u_k=())
-    assert state.classes() == reference.classes(colors, q)
+    state = state_of(h, PartialColoring(q, colors))
     out = rebalance(state, params)
     assert is_clamped(state, params) == out.clamped
-    want = reference.rebalance(h, colors, q, params.n_c, params.delta_tilde_eff)
-    got = (out.phi.colors, out.n_c, out.u_k_prime, out.bad_sets, out.clamped, out.good_shortage)
-    assert got == want
-    assert out.classes() == reference.classes(want[0], q)
+    want_colors, n_c, u_k_prime, _, clamped, good_shortage = reference.rebalance(
+        h, colors, q, params.n_c, params.delta_tilde_eff)
+    got = (out.phi.colors, out.n_c, uncolored_k(out), out.clamped, out.good_shortage)
+    assert got == (want_colors, n_c, u_k_prime, clamped, good_shortage)
 
 
 # --- post-conditions are explicit checks, kept under python -O ---------------

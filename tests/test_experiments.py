@@ -9,11 +9,14 @@ import pytest
 
 import balhyp.experiments
 from balhyp.coloring import accepts, col_params, col_random_phase, rebalance, residual
+from balhyp.core import KPartiteHypergraph
 from balhyp.experiments import (
     ExperimentSpec,
     run_experiment,
 )
 from balhyp.models import sample_hknp
+
+import reference
 
 
 def spec_of(mode, cells, trials, seed):
@@ -226,6 +229,76 @@ def test_color_accepted_column_is_the_shared_rule(monkeypatch):
     monkeypatch.setattr(balhyp.experiments, "accepts", lambda state, p, h_res: state.n_c % 2)
     records, _ = run_experiment(spec)
     assert [r.fields["accepted"] for r in records] == [r.fields["n_c"] % 2 for r in records]
+
+
+def _reference_concentration_rows(cell, ci, spec):
+    k, n, q, D = cell["k"], cell["n"], cell["q"], cell["D"]
+    h = sample_hknp(k, n, min(D / n ** (k - 1), 1.0), (spec.seed, ci, 0))
+    deg_k = [sum(1 for e in h.edges if e[k - 1] == i) for i in range(n)]
+    probe = max(range(n), key=lambda i: (deg_k[i], -i))
+    rows = []
+    for t in range(spec.trials):
+        colors, lists_k, u_k = reference.col_random_phase(h, q, (spec.seed, ci, t + 1))
+        lst = lists_k[probe]
+        rows.append({
+            "v1c1_size": colors[0].count(1),
+            "u_k_size": len(u_k),
+            "probe_list_size": len(lst),
+            "probe_banned_mask": sum(1 << (c - 1) for c in range(1, q + 1) if c not in lst),
+            "probe_empty": int(not lst),
+        })
+    return rows
+
+
+def _reference_color_rows(cell, ci, spec):
+    k, n, Delta, eps = cell["k"], cell["n"], cell["Delta"], cell["eps"]
+    h = sample_hknp(k, n, min(Delta / n ** (k - 1), 1.0), (spec.seed, ci, 0))
+    params = col_params(k, eps, max(reference.max_degree(h), 3), n)
+    q = params.q
+    rows = []
+    for t in range(spec.trials):
+        colors, _, u_k = reference.col_random_phase(h, q, (spec.seed, ci, t + 1))
+        sizes = [len(members) for members in reference.classes(colors, q).values()]
+        after, n_c, _, _, clamped, good_shortage = reference.rebalance(
+            h, colors, q, params.n_c, params.delta_tilde_eff)
+        pool = [[i for i, c in enumerate(part) if c is None] for part in after]
+        part_sizes, edges, _ = reference.induced(h, pool)
+        d = reference.max_degree(KPartiteHypergraph(part_sizes, edges))
+        rows.append({
+            "u_k_size": len(u_k),
+            "n_c": n_c,
+            "clamped": int(clamped),
+            "good_shortage": int(good_shortage),
+            "residual_delta": d,
+            "min_class": min(sizes),
+            "max_class": max(sizes),
+            "accepted": int(not clamped and d <= params.delta_tilde_eff
+                            and d <= part_sizes[0] / 2),
+        })
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore:delta_tilde")
+@pytest.mark.parametrize("mode, cells, rebuild", [
+    ("concentration",
+     [{"k": 2, "n": 30, "q": 5, "D": 4.0}, {"k": 3, "n": 12, "q": 4, "D": 3.0},
+      {"k": 2, "n": 40, "q": 70, "D": 30.0}],
+     _reference_concentration_rows),
+    ("color",
+     [{"k": 2, "n": 48, "Delta": 4.0, "eps": 0.2}, {"k": 2, "n": 30, "Delta": 1.5, "eps": 0.2},
+      {"k": 3, "n": 30, "Delta": 6.0, "eps": 0.3}],
+     _reference_color_rows),
+])
+def test_phase_modes_match_reference(mode, cells, rebuild):
+    """Every trial row of the phase-reading modes equals the row rebuilt
+    from the pure-Python random phase, classes, rebalance and residual."""
+    spec = spec_of(mode, cells, 6, 13)
+    records, _ = run_experiment(spec)
+    want = [row for ci, cell in enumerate(cells) for row in rebuild(cell, ci, spec)]
+    assert [r.fields for r in records] == want
+    if mode == "concentration":
+        # the q=70 cell bans colors above 64: the mask is a Python int
+        assert any(r.fields["probe_banned_mask"] >> 64 for r in records if r.cell_index == 2)
 
 
 def test_stream_derivation_stable_across_added_cells():

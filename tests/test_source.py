@@ -38,6 +38,25 @@ def test_incidence_has_no_library_caller():
     assert found == []
 
 
+def test_coloring_attempt_builds_no_python_lists():
+    # every coloring attempt runs these; their state stays in arrays
+    path = Path(balhyp.coloring.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    attempt = {"col_random_phase", "is_clamped", "rebalance", "_uncolor_lowest"}
+    defs = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in attempt]
+    assert {node.name for node in defs} == attempt
+    found = [
+        f"{fn.name}:{node.lineno}"
+        for fn in defs
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "tolist"
+    ]
+    assert found == []
+
+
 def test_bench_tracer_finds_every_layer():
     # a refactor that drops or renames a traced layer fails here, not in
     # every benchmark run's self-test
