@@ -77,7 +77,6 @@ def cmd_bis(args) -> int:
     if args.p is not None:
         best = best_of_trials(h, None, T=args.trials, seed=args.seed, p=args.p)
         ledger = {"p": args.p, "override": True}
-        trial_sides = list(best.trial_sides)
     else:
         D = args.D if args.D is not None else len(h.edge_array) / n
         params = ind_params(h.k, args.eps, D, n)
@@ -91,14 +90,13 @@ def cmd_bis(args) -> int:
             "delta": params.delta,
             "target": params.target,
         }
-        trial_sides = list(best.trial_sides)
     payload = {
         "k": h.k,
         "n": n,
         "params": ledger,
         "trials": args.trials,
         "seed": args.seed,
-        "trial_sides": trial_sides,
+        "trial_sides": list(best.trial_sides),
         "best": {
             "side": best.side,
             "witness": [list(part) for part in best.balanced.parts],

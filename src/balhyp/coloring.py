@@ -82,7 +82,7 @@ class ColParams:
             raise RegimeError(f"k={self.k} must be at least 2")
         if self.Delta < 3:
             raise RegimeError(f"Delta={self.Delta} below 3; log Delta must exceed 1")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN included
             raise RegimeError(f"epsilon={self.epsilon} must be positive")
         if self.n < 1:
             raise RegimeError(f"n={self.n} must be positive")
@@ -270,8 +270,9 @@ def full_coloring(
     palette offset q.  If the parameter ledger rejects the instance or no
     attempt is accepted, the whole instance goes to the matching fallback
     on stream seed+(max_retries, 1), so max_retries=0 goes straight to the
-    fallback and a negative max_retries raises ValueError.  Edgeless input
-    short-circuits to the single-color answer.
+    fallback.  A negative max_retries or an epsilon that is not positive
+    (NaN included) raises ValueError before anything is drawn.  Edgeless
+    input short-circuits to the single-color answer.
 
     Every path ends in one output check: the coloring must be total,
     proper and balanced, and use at most q + k*Delta_res + 1 colors
@@ -286,6 +287,8 @@ def full_coloring(
         raise ValueError(f"part sizes {h.part_sizes} are not all equal")
     if max_retries < 0:
         raise ValueError(f"max_retries={max_retries} must be non-negative")
+    if not epsilon > 0:  # NaN included
+        raise ValueError(f"epsilon={epsilon} must be positive")
     n = h.part_sizes[0]
     k = h.k
     base = as_stream(seed)

@@ -27,6 +27,8 @@ import numpy as np
 
 from balhyp.errors import KhgParseError
 
+_INTP_MAX = np.iinfo(np.intp).max
+
 
 class Vertex(NamedTuple):
     part: int  # 1-based
@@ -155,18 +157,45 @@ def _int_array(values: Iterable) -> np.ndarray:
         return np.array(ints, dtype=object)
 
 
-def _lex_order(e: np.ndarray) -> np.ndarray:
-    """Stable permutation that sorts the rows of `e` lexicographically.
+def edge_keys(
+    rows: np.ndarray, radices: Sequence[int], lows: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Each row as one integer, big-endian in mixed radix: slot j, less
+    lows[j] (default 0), is a digit in [0, radices[j]).  Equal rows get
+    equal keys and key order is the rows' lexicographic order.  The keys
+    are `np.intp` when the product of the radices fits it, Python ints
+    (object dtype) otherwise, so they never overflow."""
+    dtype = np.intp if math.prod(radices) <= _INTP_MAX else object
+    keys = np.zeros(len(rows), dtype=dtype)
+    for col, radix, lo in zip(rows.T, radices, lows or itertools.repeat(0)):
+        if dtype is object:
+            col = col.astype(object)  # so that the shift cannot wrap around
+        keys *= radix
+        keys += (col - lo).astype(dtype, copy=False)
+    return keys
 
-    Rows that are already in order (sampled and canonical khg edges are)
-    skip the sort; the check compares, so it cannot overflow.
-    """
-    if len(e) > 1 and e.shape[1]:
-        later, earlier = e[1:], e[:-1]
-        first = (later != earlier).argmax(axis=1)  # first differing slot, 0 if none
-        if (later < earlier)[np.arange(len(later)), first].any():
-            return np.lexsort(e.T[::-1])
-    return np.arange(len(e))
+
+def _span_keys(rows: np.ndarray) -> np.ndarray:
+    """`edge_keys` of any integer rows (object dtype included), each column
+    shifted to start at 0, radix its span (0 included).  For `np.intp` rows
+    whose key would overflow, the key so far (and, if still too wide, the
+    column) is first replaced by its dense rank, which keeps order, so the
+    keys stay `np.intp`, below len(rows)**2, off the slow object path."""
+    lows = [int(col.min(initial=0)) for col in rows.T]
+    spans = [int(col.max(initial=0)) - lo + 1 for col, lo in zip(rows.T, lows)]
+    if rows.dtype == object or math.prod(spans) <= _INTP_MAX:
+        return edge_keys(rows, spans, lows)
+    keys, top = np.zeros(len(rows), dtype=np.intp), 1
+    for col, lo, span in zip(rows.T, lows, spans):
+        if top * span > _INTP_MAX:
+            ranks, keys = np.unique(keys, return_inverse=True)
+            top = len(ranks)
+        if top * span > _INTP_MAX:
+            ranks, col = np.unique(col, return_inverse=True)
+            lo, span = 0, len(ranks)
+        keys = keys * span + (col - lo)
+        top *= span
+    return keys
 
 
 @dataclass(frozen=True)
@@ -199,11 +228,11 @@ def validate(h: KPartiteHypergraph) -> Diagnostics:
         pos = np.array([i for i, e in enumerate(h.edges) if len(e) == h.k], dtype=np.intp)
         rows = np.array([h.edges[i] for i in pos], dtype=object).reshape(len(pos), h.k)
     out_of_range = (rows < 0) | (rows >= np.array(h.part_sizes))
+    keys = _span_keys(rows)
+    order = np.argsort(keys, kind="stable")
+    s = keys[order]
     dup = np.zeros(len(rows), dtype=bool)
-    if len(rows) > 1:
-        order = _lex_order(rows)
-        s = rows[order]
-        dup[order[1:]] = (s[1:] == s[:-1]).all(axis=1)
+    dup[order[1:]] = s[1:] == s[:-1]
     row_of = np.full(m, -1)
     row_of[pos] = np.arange(len(pos))
     flagged = np.union1d(np.flatnonzero(row_of < 0), pos[out_of_range.any(axis=1) | dup])
@@ -317,6 +346,9 @@ def is_balanced_independent(h: KPartiteHypergraph, a: BalancedSet) -> bool:
         out = (idx < 0) | (idx >= h.part_sizes[j])
         if out.any():
             raise ValueError(f"index {idx[out.argmax()]} out of range in part {j + 1}")
+        if h.part_sizes[j] > len(e) + len(idx):  # a vertex table would outgrow the input
+            hit &= np.isin(e[:, j], idx)
+            continue
         member = np.zeros(h.part_sizes[j], dtype=bool)
         member[idx] = True
         hit &= member[e[:, j]]
@@ -491,7 +523,6 @@ def induced(h: KPartiteHypergraph, subsets: Sequence[Iterable[int]]):
 # files byte-identically.
 
 _DIGITS = str.maketrans("", "", "0123456789")
-_INTP_MAX = np.iinfo(np.intp).max
 
 
 def _fields(i: int, line: str) -> list:
@@ -567,7 +598,8 @@ def emit_khg(h: KPartiteHypergraph) -> str:
     """Canonical khg v1 text: edges sorted lexicographically."""
     e = h.edge_array
     m, k = e.shape
-    rows = ((" ".join(["%d"] * k) + "\n") * m) % tuple(e[_lex_order(e)].ravel().tolist())
+    e = e.take(np.argsort(_span_keys(e), kind="stable"), axis=0)
+    rows = ((" ".join(["%d"] * k) + "\n") * m) % tuple(e.ravel().tolist())
     return f"khg 1\n{k} " + " ".join(str(s) for s in h.part_sizes) + f"\n{m}\n" + rows
 
 

@@ -9,6 +9,7 @@ p its side is close to the extremal bound for average degree D.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 
 from balhyp.core import BalancedSet, KPartiteHypergraph, is_balanced_independent
 from balhyp.errors import BudgetExceededError, RegimeError
-from balhyp.models import _balanced_is_witness
+from balhyp.models import _balanced_is_witness, _enumeration_cost
 from balhyp.rng import SeedLike, as_stream, rng_for
 
 __all__ = [
@@ -195,14 +196,7 @@ def best_of_trials(
         if best is None or out.side > best.side:
             best = out
             best_t = t
-    return IndOutcome(
-        raw=best.raw,
-        balanced=best.balanced,
-        part_sizes=best.part_sizes,
-        seed=best.seed,
-        trial_index=best_t,
-        trial_sides=tuple(sides),
-    )
+    return dataclasses.replace(best, trial_index=best_t, trial_sides=tuple(sides))
 
 
 def exact_alpha_b(
@@ -210,21 +204,19 @@ def exact_alpha_b(
 ) -> Tuple[int, BalancedSet]:
     """Maximum side of a balanced independent set, with a witness.
 
-    Exhaustive over all side-s part subsets, s descending from the minimum
-    part size; refuses (never guesses) when sum_s prod_j C(n_j, s) exceeds
-    the budget.  Meant for very small instances.  The witness is checked
-    to be balanced independent; a failure raises RuntimeError.
+    Exhaustive over side-s subsets of parts 1..k-1, s descending from the
+    minimum part size; refuses (never guesses) when the sum over s of
+    s * prod_{j<k} C(n_j, s) exceeds the budget.  Meant for very small
+    instances.  The witness is checked to be balanced independent; a
+    failure raises RuntimeError.
     """
     smax = min(h.part_sizes)
     cost = 0
     for s in range(1, smax + 1):
-        term = 1
-        for sz in h.part_sizes:
-            term *= math.comb(sz, s)
-        cost += term
+        cost += _enumeration_cost(h.part_sizes, s)
         if cost > budget:
             raise BudgetExceededError(
-                f"sum of C(n,s)^k terms exceeds enumeration budget {budget}"
+                f"sum over s of s*prod_{{j<k}} C(n_j,s) exceeds enumeration budget {budget}"
             )
     for s in range(smax, 0, -1):
         witness = _balanced_is_witness(h, s)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from balhyp.core import KPartiteHypergraph, PartialColoring
+from balhyp.core import KPartiteHypergraph, PartialColoring, edge_keys
 from balhyp.errors import BudgetExceededError
 from balhyp.rng import SeedLike, rng_for
 
@@ -86,8 +86,8 @@ def _check_matching(h: KPartiteHypergraph, m: Matching) -> tuple:
     host[owner[whole, 0]] = True
     repeats = np.flatnonzero(twice.any(axis=1) & ~out.any(axis=1))
     if len(repeats):
-        base = max(h.part_sizes)
-        host[repeats] = np.isin(_keys(rows[repeats].astype(np.intp), base), _keys(e, base))
+        sizes = h.part_sizes
+        host[repeats] = np.isin(edge_keys(rows[repeats], sizes), edge_keys(e, sizes))
     bad = []
     flagged = lens != k
     flagged[pos] = host | out.any(axis=1) | twice.any(axis=1)
@@ -110,16 +110,6 @@ def _check_matching(h: KPartiteHypergraph, m: Matching) -> tuple:
             if sz - covered[j]:
                 bad.append(f"part {j + 1}: {sz - covered[j]} vertices uncovered")
     return tuple(bad), owner
-
-
-def _keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """Each row as one integer, big-endian in base n: intp when n^width
-    fits, Python ints (object dtype) otherwise."""
-    dtype = np.intp if n ** rows.shape[1] <= np.iinfo(np.intp).max else object
-    keys = np.zeros(len(rows), dtype=dtype)
-    for col in rows.T:
-        keys = keys * n + col.astype(dtype)
-    return keys
 
 
 def _completes(near: set, key: int, j: int, uncovered: list, n: int, k: int) -> bool:
@@ -148,7 +138,7 @@ def find_pm_complement(
     one integer per release.
 
     The host edges through a part-1 vertex are held as a set of tail keys
-    (`_keys` of slots 2..k), built the first time the walk visits that vertex.
+    (`edge_keys` of slots 2..k), built the first time the walk visits that vertex.
     """
     if not h.n_balanced:
         raise ValueError(f"part sizes {h.part_sizes} are not all equal")
@@ -165,7 +155,7 @@ def find_pm_complement(
                 f"part {j + 1} vertex {full[0]} has no complement edge; "
                 f"no perfect matching exists"
             )
-    keys = _keys(e[np.argsort(e[:, 0], kind="stable"), 1:], n)
+    keys = edge_keys(e[np.argsort(e[:, 0], kind="stable"), 1:], (n,) * (k - 1))
     starts = np.concatenate(([0], np.cumsum(degrees[0]))).tolist()
     near = [None] * n
     for attempt in range(budget):

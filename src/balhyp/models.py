@@ -69,7 +69,7 @@ class UpperBoundParams:
             raise RegimeError(f"k={self.k} must be at least 2")
         if self.n < 1:
             raise RegimeError(f"n={self.n} must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN included
             raise RegimeError(f"epsilon={self.epsilon} must be positive")
         if self.Delta < 1:
             raise RegimeError(f"Delta={self.Delta} must be at least 1")
@@ -201,8 +201,7 @@ def exists_balanced_is(
     Enumerates side-s subsets of parts 1..k-1 in lexicographic order; given
     those, a valid part-k completion exists iff at most n_k - s part-k
     vertices close an edge.  Raises BudgetExceededError when the subset
-    count, the product over all k parts of C(n_j, s), exceeds `budget`,
-    rather than guessing.
+    count, `_enumeration_cost`, exceeds `budget`, rather than guessing.
     """
     if s < 0:
         raise ValueError(f"s={s} must be non-negative")
@@ -210,14 +209,19 @@ def exists_balanced_is(
         return True
     if any(s > sz for sz in h.part_sizes):
         return False
-    cost = 1
-    for sz in h.part_sizes:
-        cost *= math.comb(sz, s)
-        if cost > budget:
-            raise BudgetExceededError(
-                f"C(n,s)^k exceeds enumeration budget {budget}"
-            )
+    if _enumeration_cost(h.part_sizes, s) > budget:
+        raise BudgetExceededError(
+            f"s * prod of C(n_j,s) over parts 1..k-1 exceeds enumeration budget {budget}"
+        )
     return _balanced_is_witness(h, s) is not None
+
+
+def _enumeration_cost(part_sizes, s: int) -> int:
+    """Mask ORs `_balanced_is_witness` may do: s per side-s subset choice,
+    the product of C(n_j, s) over parts 1..k-1 (part k is completed, not
+    enumerated).  As s * C(n, s) >= n, it also bounds parts 1..k-1 and the
+    witness; part k only costs its distinct edge ends."""
+    return s * math.prod(math.comb(sz, s) for sz in part_sizes[:-1])
 
 
 def _balanced_is_witness(h: KPartiteHypergraph, s: int) -> BalancedSet | None:
@@ -225,16 +229,23 @@ def _balanced_is_witness(h: KPartiteHypergraph, s: int) -> BalancedSet | None:
 
     Walks side-s subsets of parts 1..k-1 in lexicographic order (the
     `itertools.product` of their `combinations`).  The part-k ends of the
-    edges are bitmasks in Python ints, so width is unbounded: `rows` keeps,
-    per choice of parts 1..k-2 vertices, one mask per part-(k-1) vertex of
-    the part-k vertices that close an edge through them.  A choice of parts
-    1..k-2 ORs its rows once; each part-(k-1) subset then ORs s masks into
-    `blocked`, and the witness completes the subsets with the s lowest
-    unblocked part-k vertices.  Assumes 0 <= s <= every part size.
+    edges are bitmasks in Python ints, bit i standing for part-k vertex i or,
+    when part k outnumbers the edges, for the i-th lowest distinct part-k
+    end, so a mask is never wider than the edge count: `rows` keeps, per
+    choice of parts 1..k-2 vertices, one mask per part-(k-1) vertex of the
+    ends that close an edge through them.  A choice of parts 1..k-2 ORs its
+    rows once; each part-(k-1) subset then ORs s masks into `blocked`, and
+    the witness completes the subsets with the s lowest unblocked part-k
+    vertices.  Assumes 0 <= s <= every part size.
     """
     *outer_sizes, n_row, nk = h.part_sizes
+    edges, ends = h.edge_array.tolist(), range(nk)
+    if nk > len(edges):  # bit i for the i-th lowest end, not for vertex i
+        ends = sorted({e[-1] for e in edges})
+        rank = {w: i for i, w in enumerate(ends)}
+        edges = [e[:-1] + [rank[e[-1]]] for e in edges]
     rows = collections.defaultdict(lambda: [0] * n_row)
-    for *head, u, w in h.edge_array.tolist():
+    for *head, u, w in edges:
         rows[tuple(head)][u] |= 1 << w
     empty = [0] * n_row
     for outer in itertools.product(
@@ -247,6 +258,7 @@ def _balanced_is_witness(h: KPartiteHypergraph, s: int) -> BalancedSet | None:
         for combo in itertools.combinations(range(n_row), s):
             blocked = functools.reduce(operator.or_, map(row.__getitem__, combo), 0)
             if nk - blocked.bit_count() >= s:
-                free = (i for i in range(nk) if not blocked >> i & 1)
+                taken = {w for i, w in enumerate(ends) if blocked >> i & 1}
+                free = itertools.filterfalse(taken.__contains__, range(nk))
                 return BalancedSet(list(outer) + [combo, itertools.islice(free, s)])
     return None

@@ -228,7 +228,8 @@ def col_random_phase(h, q, seed):
 
 
 def classes(colors, q):
-    """(part, color) -> sorted indices colored that color (PhaseState.classes)."""
+    """(part, color) -> sorted indices colored that color, for every color
+    1..q, empty classes included."""
     out = {}
     for j, part in enumerate(colors):
         for c in range(1, q + 1):

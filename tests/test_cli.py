@@ -224,6 +224,31 @@ def test_color_cli_rejects_negative_retries(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_color_cli_rejects_non_positive_eps(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "h.khg")
+    run(["gen", "--k", "2", "--n", "12", "--p", "0.15", "--seed", "6",
+         "--out", path])
+    out = tmp_path / "col.json"
+    capsys.readouterr()
+    draws = []
+    for module in (balhyp.coloring, balhyp.matching):
+        monkeypatch.setattr(module, "rng_for", lambda *seed: draws.append(seed))
+    for eps in ("-1", "0", "nan"):
+        assert run(["color", "--in", path, "--seed", "3", "--eps", eps,
+                    "--json", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: epsilon={float(eps)} must be positive\n"
+    assert draws == []
+    assert not out.exists()
+    monkeypatch.undo()
+    # a valid epsilon on an instance too small for the ledger still falls back
+    small = tmp_path / "small.khg"
+    small.write_text(emit_khg(KPartiteHypergraph([2, 2], [(0, 0)])))
+    assert run(["color", "--in", str(small), "--seed", "0", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["path"] == "fallback"
+    assert any("parameter regime rejected" in a for a in report["advisories"])
+
+
 def test_fallback_cli(tmp_path, capsys):
     path = str(tmp_path / "h.khg")
     run(["gen", "--k", "2", "--n", "10", "--p", "0.1", "--seed", "9",

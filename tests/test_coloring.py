@@ -91,6 +91,12 @@ def test_col_params_rejections():
         quiet_col_params(2, 0.2, 16.0, 2)  # n below q
 
 
+def test_col_params_rejects_nan_epsilon():
+    # a NaN passes `epsilon <= 0`; the ledger must still name epsilon
+    with pytest.raises(RegimeError, match="epsilon=nan must be positive"):
+        col_params(2, math.nan, 16.0, 100)
+
+
 def test_col_params_advisory():
     with pytest.warns(UserWarning, match="delta_tilde"):
         pr = col_params(2, 0.2, 256.0, 10**5)

@@ -11,6 +11,7 @@ from balhyp.core import (
     Vertex,
     codegree,
     complement_edges,
+    edge_keys,
     emit_khg,
     incidence,
     induced,
@@ -21,6 +22,7 @@ from balhyp.core import (
     parse_khg,
     validate,
 )
+import balhyp.core
 from balhyp.errors import KhgParseError
 
 from conftest import product_instances
@@ -345,6 +347,59 @@ def test_validate_duplicates_past_int64_product():
     )
     for g in (h, KPartiteHypergraph(sizes, sorted(edges))):
         assert list(validate(g).violations) == reference.validate(g)
+
+
+def test_edge_keys_never_overflow():
+    n = 2**40  # n^2 is past intp, so the keys are Python ints
+    rows = np.array([[n - 1, n - 2], [3, 7]])
+    assert edge_keys(rows, (n, n)).tolist() == [(n - 1) * n + n - 2, 3 * n + 7]
+    assert edge_keys(rows[1:], (8, 8)).tolist() == [3 * 8 + 7]
+    wide = np.array([[1, 2, 3], [0, 0, 1]])
+    assert edge_keys(wide, (10, 10, 10)).tolist() == [123, 1]
+    # mixed radix: slot j weighs the product of the later radices
+    assert edge_keys(wide, (2, 3, 5)).tolist() == [1 * 15 + 2 * 5 + 3, 1]
+    assert edge_keys(wide, (2, 3, 5)).dtype == np.intp
+    assert edge_keys(rows, (n, n)).dtype == object
+
+
+# small values repeat; intp values near both ends make a column span more
+# than intp holds
+_any_int = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**63), -(2**62)),
+    st.integers(2**62, 2**63 - 1),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(st.tuples(*[_any_int] * k), min_size=1)))
+def test_span_keys_order_rows(rows):
+    # rows with negatives and values past intp, as `validate` and `emit_khg`
+    # key them: object dtype once a value leaves intp; intp rows keep intp
+    # keys even when their spans' product overflows
+    try:
+        arr = np.array(rows, dtype=np.intp)
+    except OverflowError:
+        arr = np.array(rows, dtype=object)
+    keys = balhyp.core._span_keys(arr)
+    assert (keys.dtype == object) == (arr.dtype == object)
+    for a, ka in zip(rows, keys.tolist()):
+        for b, kb in zip(rows, keys.tolist()):
+            assert (ka == kb) == (a == b)
+    order = np.argsort(keys, kind="stable").tolist()
+    assert order == sorted(range(len(rows)), key=rows.__getitem__)
+
+
+def test_span_keys_wide_intp_rows():
+    # 65536^4 overflows intp: the keys are dense ranks, not Python ints
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 65536, size=(500, 4))
+    rows[250:] = rows[:250]
+    keys = balhyp.core._span_keys(rows)
+    assert keys.dtype == np.intp
+    assert np.argsort(keys, kind="stable").tolist() == np.lexsort(rows.T[::-1]).tolist()
+    assert len(np.unique(keys)) == len(np.unique(rows, axis=0))
 
 
 def test_repr_builds_no_edge_tuples(monkeypatch):

@@ -296,6 +296,23 @@ def test_exact_alpha_b_budget():
         exact_alpha_b(h)
 
 
+def test_exact_alpha_b_budget_counts_enumerated_parts_only():
+    # sum over s of s * C(6, s) = 192; part 2's 10^4 vertices are completed
+    side, witness = exact_alpha_b(KPartiteHypergraph([6, 10**4], []))
+    assert side == 6
+    assert witness.parts == (tuple(range(6)), tuple(range(6)))
+
+
+def test_exact_alpha_b_wide_last_part():
+    # the part-k end 10^12 - 1 is one mask bit, not bit 10^12 - 1
+    side, witness = exact_alpha_b(KPartiteHypergraph([3, 10**12], [(0, 10**12 - 1)]))
+    assert side == 3
+    assert witness.parts == ((0, 1, 2), (0, 1, 2))
+    h = KPartiteHypergraph([2, 10**12], [(0, 0), (1, 1), (0, 2)])
+    side, witness = exact_alpha_b(h)
+    assert (side, witness.parts) == (2, ((0, 1), (3, 4)))
+
+
 def test_dominance_small_cases():
     for i, h in enumerate(mixed_instances(13, 30)):
         if not h.n_balanced:

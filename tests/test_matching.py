@@ -104,15 +104,6 @@ def test_violations_match_reference():
                 assert got == want, (h.part_sizes, h.edges, tuples)
 
 
-def test_keys_never_overflow():
-    n = 2**40  # n^2 is past intp, so the keys are Python ints
-    rows = np.array([[n - 1, n - 2], [3, 7]])
-    assert balhyp.matching._keys(rows, n).tolist() == [(n - 1) * n + n - 2, 3 * n + 7]
-    assert balhyp.matching._keys(rows[1:], 8).tolist() == [3 * 8 + 7]
-    wide = np.array([[1, 2, 3], [0, 0, 1]])
-    assert balhyp.matching._keys(wide, 10).tolist() == [123, 1]
-
-
 def test_find_pm_edgeless():
     h = KPartiteHypergraph([3, 3], [])
     m = find_pm_complement(h, seed=0)

@@ -294,6 +294,29 @@ def test_exists_budget():
     assert exists_balanced_is(KPartiteHypergraph([8, 8], []), 4) is True
 
 
+def test_exists_budget_counts_enumerated_parts_only():
+    # only part 1 is enumerated here (3 * C(6, 3) = 60 mask ORs); part k is
+    # completed, so its C(10^4, 3) does not count
+    assert exists_balanced_is(KPartiteHypergraph([6, 10**4], []), 3) is True
+
+
+def test_exists_wide_last_part_stays_small():
+    # masks are indexed by distinct part-k ends, not by vertex, so a part k
+    # of 10^12 vertices costs one bit here
+    h = KPartiteHypergraph([3, 10**12], [(0, 10**12 - 1), (1, 0)])
+    assert exists_balanced_is(h, 2) is True
+    assert exists_balanced_is(KPartiteHypergraph([2, 10**12], [(0, 5), (1, 5)]), 2) is True
+
+
+def test_exists_budget_bounds_the_side():
+    # one side-s choice of part 1, but it costs s = 50 mask ORs and witness
+    # slots, so the side itself is bounded by the budget
+    h = KPartiteHypergraph([50, 10**6], [])
+    with pytest.raises(BudgetExceededError):
+        exists_balanced_is(h, 50, budget=49)
+    assert exists_balanced_is(h, 50, budget=50) is True
+
+
 def test_params_derived_values():
     pr = UpperBoundParams(epsilon=0.2, k=2, Delta=16.0, n=100)
     gamma = 0.2 / 8
@@ -305,6 +328,11 @@ def test_params_derived_values():
     assert pr.trim_count == math.ceil(gamma * pr.N)
     assert pr.ambient_n == 100 + pr.trim_count
     assert pr.s_int == math.floor(s)
+
+
+def test_params_reject_nan_epsilon():
+    with pytest.raises(RegimeError, match="epsilon=nan must be positive"):
+        UpperBoundParams(epsilon=math.nan, k=2, Delta=16.0, n=100)
 
 
 def test_params_rejections():

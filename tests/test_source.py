@@ -7,6 +7,8 @@ from pathlib import Path
 
 import balhyp
 import balhyp.coloring
+import balhyp.core
+import balhyp.matching
 
 
 def test_no_assert_statements():
@@ -55,6 +57,28 @@ def test_coloring_attempt_builds_no_python_lists():
         and node.func.attr == "tolist"
     ]
     assert found == []
+
+
+def test_one_row_encoder():
+    # rows become comparable integers only through `core.edge_keys`
+    found = []
+    for path in sorted(Path(balhyp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in ("_keys", "_lex_order")
+        ]
+    assert found == []
+    path = Path(balhyp.matching.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert any(
+        isinstance(node, ast.ImportFrom)
+        and node.module == "balhyp.core"
+        and "edge_keys" in [alias.name for alias in node.names]
+        for node in tree.body
+    )
+    assert balhyp.matching.edge_keys is balhyp.core.edge_keys
 
 
 def test_bench_tracer_finds_every_layer():
